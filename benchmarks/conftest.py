@@ -31,8 +31,6 @@ import pathlib
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.core.experiments.points import experiment_plans
-from repro.core.report import EXPERIMENT_RUNNERS
 from repro.exec import execute_experiments
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -53,14 +51,8 @@ class ResultsCache:
         self.config = config
         self._results: dict[str, object] = {}
 
-    def get(self, exp_id: str, runner=None):
-        if exp_id not in self._results:
-            if runner is None and exp_id in experiment_plans():
-                self.get_many([exp_id])
-            else:
-                runner = runner or EXPERIMENT_RUNNERS()[exp_id]
-                self._results[exp_id] = runner(self.config)
-        return self._results[exp_id]
+    def get(self, exp_id: str):
+        return self.get_many([exp_id])[exp_id]
 
     def get_many(self, exp_ids: list[str]) -> dict[str, object]:
         """Produce several experiments in one engine invocation.

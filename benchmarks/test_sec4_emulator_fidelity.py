@@ -1,12 +1,10 @@
 """§IV: emulator fidelity matrix (FEMU / NVMeVirt / ConfZNS / this work)."""
 
-from repro.emulators import run_fidelity_matrix
-
 from conftest import emit, run_once
 
 
 def test_sec4_emulator_fidelity_matrix(benchmark, results):
-    result = run_once(benchmark, run_fidelity_matrix)
+    result = run_once(benchmark, lambda: results.get("sec4"))
     emit(result)
     verdicts = result.meta["verdicts"]
     # Paper: FEMU "cannot accurately reproduce any of our observations".

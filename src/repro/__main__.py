@@ -38,8 +38,7 @@ import dataclasses
 import os
 import sys
 
-from .core import ExperimentConfig, run_experiments, table1, table2
-from .core.report import EXPERIMENT_RUNNERS
+from .core import ExperimentConfig, table1, table2
 from .obs import MetricsRegistry, Tracer
 from .obs.telemetry import DEFAULT_INTERVAL_US
 from .sim.engine import ms
@@ -99,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
                                  "write the cache")
     run_parser.add_argument("--trace", metavar="PATH",
                             help="record command-lifecycle spans to a "
-                                 "JSON-lines file (ns timestamps); forces "
-                                 "a serial in-process run")
+                                 "JSON-lines file (ns timestamps); "
+                                 "byte-identical at any --jobs, with or "
+                                 "without the cache")
     run_parser.add_argument("--trace-perfetto", metavar="PATH",
                             help="also export the Chrome trace_event JSON "
                                  "(loadable in Perfetto / chrome://tracing)")
@@ -157,7 +157,9 @@ def main(argv: list[str] | None = None) -> int:
                                 help="report per-point wall-clock instead "
                                      "of the simulated-time breakdown")
     profile_parser.add_argument("--jobs", "-j", type=int, default=1,
-                                help="worker processes for --points")
+                                help="worker processes for the experiment's "
+                                     "sweep points (the breakdown is the "
+                                     "same at any job count)")
     profile_parser.add_argument("--by-layer", action="store_true",
                                 help="with --self: also attribute Python "
                                      "compute time to code layers "
@@ -248,7 +250,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "list":
-        for exp_id in EXPERIMENT_RUNNERS():
+        from .core.experiments.points import experiment_plans
+
+        for exp_id in experiment_plans():
             print(exp_id)
         return 0
 
@@ -275,55 +279,42 @@ def main(argv: list[str] | None = None) -> int:
                       "(deterministic under --seed)", file=sys.stderr)
         tracer = Tracer() if (args.trace or args.trace_perfetto) else None
         metrics = MetricsRegistry() if args.metrics else None
-        if tracer is not None or metrics is not None:
-            config = dataclasses.replace(config, tracer=tracer, metrics=metrics)
+        config = dataclasses.replace(config, tracer=tracer, metrics=metrics)
         telemetry_us = args.telemetry
         if telemetry_us is not None:
-            if tracer is not None:
-                run_parser.error("--telemetry cannot be combined with "
-                                 "--trace (traced runs bypass the "
-                                 "execution engine)")
             if telemetry_us <= 0:
                 run_parser.error("--telemetry interval must be > 0 µs")
             config = dataclasses.replace(
                 config, telemetry_interval_ns=int(telemetry_us * 1000))
-        if tracer is not None:
-            # Tracing records one in-process timeline; spans cannot be
-            # merged across workers, so traced runs stay serial.
-            if args.jobs != 1:
-                print("[exec] --trace forces a serial in-process run; "
-                      "ignoring --jobs", file=sys.stderr)
-            run_experiments(args.ids or None, config, verbose=True)
-        else:
-            from .exec import execute_experiments
+        from .exec import execute_experiments
 
-            results, report = execute_experiments(
-                args.ids or None, config, jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache,
-                progress=lambda message: print(message, file=sys.stderr),
-            )
-            for result in results.values():
-                print(result.table())
-                print()
-            if args.run_dir is not None or telemetry_us is not None:
-                import time
+        results, report = execute_experiments(
+            args.ids or None, config, jobs=args.jobs,
+            cache_dir=None if args.no_cache else args.cache,
+            progress=lambda message: print(message, file=sys.stderr),
+        )
+        for result in results.values():
+            print(result.table())
+            print()
+        if args.run_dir is not None or telemetry_us is not None:
+            import time
 
-                from .obs.report import write_run
+            from .obs.report import write_run
 
-                run_dir = args.run_dir or time.strftime("runs/%Y%m%d-%H%M%S")
-                manifest = {
-                    "ids": sorted(results),
-                    "seed": args.seed,
-                    "fast": args.fast,
-                    "scale": args.scale,
-                    "faults": config.faults,
-                    "interval_us": telemetry_us,
-                    "jobs": args.jobs,
-                    "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                }
-                paths = write_run(run_dir, results, report, manifest)
-                print(f"[run] wrote {len(paths)} artifacts -> {run_dir} "
-                      f"(view: repro report {run_dir})", file=sys.stderr)
+            run_dir = args.run_dir or time.strftime("runs/%Y%m%d-%H%M%S")
+            manifest = {
+                "ids": sorted(results),
+                "seed": args.seed,
+                "fast": args.fast,
+                "scale": args.scale,
+                "faults": config.faults,
+                "interval_us": telemetry_us,
+                "jobs": args.jobs,
+                "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            }
+            paths = write_run(run_dir, results, report, manifest)
+            print(f"[run] wrote {len(paths)} artifacts -> {run_dir} "
+                  f"(view: repro report {run_dir})", file=sys.stderr)
         if tracer is not None:
             if args.trace:
                 count = tracer.write_jsonl(args.trace)
@@ -401,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.experiment:
             config = _config_from_args(args)
             tracer, breakdown, _result = profile_experiment(
-                args.experiment, config)
+                args.experiment, config, jobs=args.jobs)
             print(f"[profile] experiment {args.experiment}")
         else:
             profile_parser.error("give an experiment id or --self")

@@ -32,21 +32,15 @@ from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
 from ...zns.device import ZnsDevice
 from ...zns.profiles import zn540
-from ..results import ExperimentResult
 from .common import KIB, MIB, ExperimentConfig, build_device, measure_job
 from .io_interference import (
     _run_device,
     _writer_job,
     conv_experiment_profile,
 )
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_ablation_buffer",
-    "run_ablation_append_cost",
-    "run_ablation_gc_priority",
-    "run_ablation_geometry",
-    "run_ablation_zone_size",
     "small_zone_profile",
     "ABLATION_BUFFER_PLAN",
     "ABLATION_APPEND_COST_PLAN",
@@ -103,11 +97,6 @@ ABLATION_BUFFER_PLAN = ExperimentPlan(
 )
 
 
-def run_ablation_buffer(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """ZNS read-tail p95 under a write flood vs write-buffer size."""
-    return run_via_points(ABLATION_BUFFER_PLAN, config)
-
-
 def _append_cost_describe(config: ExperimentConfig) -> dict:
     return {
         "title": "write/append gap and append plateau vs append command cost",
@@ -158,11 +147,6 @@ ABLATION_APPEND_COST_PLAN = ExperimentPlan(
     "ablation-append-cost", _append_cost_plan, _append_cost_point,
     _append_cost_describe,
 )
-
-
-def run_ablation_append_cost(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Obs #4/#6 sensitivity to the append controller command cost."""
-    return run_via_points(ABLATION_APPEND_COST_PLAN, config)
 
 
 def _gc_priority_describe(config: ExperimentConfig) -> dict:
@@ -216,11 +200,6 @@ ABLATION_GC_PRIORITY_PLAN = ExperimentPlan(
 )
 
 
-def run_ablation_gc_priority(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Conventional GC at urgent vs plain I/O priority under a flood."""
-    return run_via_points(ABLATION_GC_PRIORITY_PLAN, config)
-
-
 def _geometry_describe(config: ExperimentConfig) -> dict:
     return {
         "title": "Device limits vs flash parallelism (channels x dies)",
@@ -264,11 +243,6 @@ def _geometry_point(config: ExperimentConfig, params: dict) -> dict:
 ABLATION_GEOMETRY_PLAN = ExperimentPlan(
     "ablation-geometry", _geometry_plan, _geometry_point, _geometry_describe
 )
-
-
-def run_ablation_geometry(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """ConfZNS-style design-space sweep: bandwidth/IOPS vs parallelism."""
-    return run_via_points(ABLATION_GEOMETRY_PLAN, config)
 
 
 def small_zone_profile(**overrides):
@@ -334,8 +308,3 @@ def _zone_size_point(config: ExperimentConfig, params: dict) -> dict:
 ABLATION_ZONE_SIZE_PLAN = ExperimentPlan(
     "ablation-zone-size", _zone_size_plan, _zone_size_point, _zone_size_describe
 )
-
-
-def run_ablation_zone_size(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Inter-zone append scaling: large-zone vs small-zone device."""
-    return run_via_points(ABLATION_ZONE_SIZE_PLAN, config)

@@ -49,10 +49,9 @@ from ...zns.profiles import zn540_small
 from ...zns.spec import ZoneState
 from ..results import ExperimentResult
 from .common import KIB, MIB, ExperimentConfig, build_device, build_stack
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_fig8_aging",
     "FIG8_AGING_PLAN",
     "AGE_EPOCHS",
     "INTERFERENCE_PROFILES",
@@ -416,9 +415,3 @@ def _aging_fold(result: ExperimentResult, config: ExperimentConfig,
 FIG8_AGING_PLAN = ExperimentPlan(
     "fig8_aging", _aging_plan, _aging_point, _aging_describe, _aging_fold
 )
-
-
-def run_fig8_aging(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Latency vs device age, tenant interference under wear-dependent
-    fault profiles, and the zone-management-cost ablation."""
-    return run_via_points(FIG8_AGING_PLAN, config)

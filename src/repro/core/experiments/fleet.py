@@ -33,9 +33,9 @@ from ...tenancy import ResetStorm, Tenant, TenantScheduler, partition_zones
 from ...zns.profiles import zn540_small
 from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig7_fleet", "FIG7_FLEET_PLAN", "FLEET_MODES"]
+__all__ = ["FIG7_FLEET_PLAN", "FLEET_MODES"]
 
 FLEET_MODES = ("baseline", "reset-storm")
 
@@ -179,9 +179,3 @@ def _fleet_fold(result: ExperimentResult, config: ExperimentConfig,
 FIG7_FLEET_PLAN = ExperimentPlan(
     "fig7_fleet", _fleet_plan, _fleet_point, _fleet_describe, _fleet_fold
 )
-
-
-def run_fig7_fleet(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Per-tenant serving p99/SLO accounting with and without a
-    co-located reclaim tenant."""
-    return run_via_points(FIG7_FLEET_PLAN, config)

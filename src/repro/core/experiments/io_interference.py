@@ -39,14 +39,10 @@ from ...stacks.spdk import SpdkStack
 from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
 from ...zns.profiles import sn640, zn540
-from ..results import ExperimentResult
 from .common import KIB, MIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
 __all__ = [
-    "run_fig6",
-    "run_fig6_rate_sweep",
-    "run_obs11_read_tail",
     "conv_experiment_profile",
     "FIG6_PLAN",
     "FIG6_RATES_PLAN",
@@ -210,11 +206,6 @@ def _fig6_point(config: ExperimentConfig, params: dict) -> dict:
 FIG6_PLAN = ExperimentPlan("fig6", _fig6_plan, _fig6_point, _fig6_describe)
 
 
-def run_fig6(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Write/read throughput over time: ZNS vs conventional (Fig. 6)."""
-    return run_via_points(FIG6_PLAN, config)
-
-
 def _fig6_rates_describe(config: ExperimentConfig) -> dict:
     return {
         "title": "Write-throughput stability vs rate limit (ZNS vs NVMe)",
@@ -246,20 +237,14 @@ def _fig6_rates_point(config: ExperimentConfig, params: dict) -> dict:
     }]}
 
 
+#: The rate-limited Fig. 6 configurations (250/750/1,155 MiB/s). The
+#: paper reports (without plotting) that on ZNS "both write and read
+#: throughput remains stable in all rate-limiting configurations", while
+#: the conventional device fluctuates whenever concurrent writes run. We
+#: sweep the same fio-style rate caps on both devices.
 FIG6_RATES_PLAN = ExperimentPlan(
     "fig6rates", _fig6_rates_plan, _fig6_rates_point, _fig6_rates_describe
 )
-
-
-def run_fig6_rate_sweep(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """The rate-limited Fig. 6 configurations (250/750/1,155 MiB/s).
-
-    The paper reports (without plotting) that on ZNS "both write and
-    read throughput remains stable in all rate-limiting configurations",
-    while the conventional device fluctuates whenever concurrent writes
-    run. We sweep the same fio-style rate caps on both devices.
-    """
-    return run_via_points(FIG6_RATES_PLAN, config)
 
 
 def _obs11_describe(config: ExperimentConfig) -> dict:
@@ -305,8 +290,3 @@ def _obs11_point(config: ExperimentConfig, params: dict) -> dict:
 
 
 OBS11_PLAN = ExperimentPlan("obs11", _obs11_plan, _obs11_point, _obs11_describe)
-
-
-def run_obs11_read_tail(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Read p95: idle vs under the unthrottled write flood (QD1 reads)."""
-    return run_via_points(OBS11_PLAN, config)

@@ -20,11 +20,10 @@ from ...workload.job import IoKind, JobSpec, Pattern
 from ...workload.runner import JobRunner
 from ...workload.stats import LatencyStats
 from ...stacks.spdk import SpdkStack
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_fig7", "CONCURRENT_OPS", "FIG7_PLAN"]
+__all__ = ["CONCURRENT_OPS", "FIG7_PLAN"]
 
 CONCURRENT_OPS = ("none", "read", "write", "append")
 
@@ -110,8 +109,3 @@ def _fig7_point(config: ExperimentConfig, params: dict) -> dict:
 
 
 FIG7_PLAN = ExperimentPlan("fig7", _fig7_plan, _fig7_point, _fig7_describe)
-
-
-def run_fig7(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """p95 reset latency under concurrent I/O of each type."""
-    return run_via_points(FIG7_PLAN, config)

@@ -30,12 +30,10 @@ from __future__ import annotations
 
 from ...hostif.commands import Command, Opcode, ZoneAction
 from ...workload.stats import LatencyStats
-from ..results import ExperimentResult
 from .common import KIB, ExperimentConfig, build_device
-from .points import ExperimentPlan, run_via_points
+from .points import ExperimentPlan
 
-__all__ = ["run_obs9_open_close", "run_fig5a_reset", "run_fig5b_finish",
-           "OBS9_PLAN", "FIG5A_PLAN", "FIG5B_PLAN",
+__all__ = ["OBS9_PLAN", "FIG5A_PLAN", "FIG5B_PLAN",
            "OCCUPANCY_LEVELS", "FIG5B_LEVELS"]
 
 #: The paper's occupancy levels: 0 %, one page, 6.25 % ... 100 %.
@@ -159,11 +157,6 @@ def _obs9_point(config: ExperimentConfig, params: dict) -> dict:
 OBS9_PLAN = ExperimentPlan("obs9", _obs9_plan, _obs9_point, _obs9_describe)
 
 
-def run_obs9_open_close(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Explicit/implicit open costs and close cost (Observation #9)."""
-    return run_via_points(OBS9_PLAN, config)
-
-
 # --- Fig. 5a: reset latency vs occupancy ------------------------------------
 
 def _fig5a_plan(config: ExperimentConfig) -> list:
@@ -217,11 +210,6 @@ FIG5A_PLAN = ExperimentPlan("fig5a", _fig5a_plan, _fig5a_point,
                             _fig5a_describe)
 
 
-def run_fig5a_reset(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Reset latency vs occupancy, finished and unfinished (Fig. 5a)."""
-    return run_via_points(FIG5A_PLAN, config)
-
-
 # --- Fig. 5b: finish latency vs occupancy -----------------------------------
 
 def _fig5b_plan(config: ExperimentConfig) -> list:
@@ -259,8 +247,3 @@ def _fig5b_point(config: ExperimentConfig, params: dict) -> dict:
 
 FIG5B_PLAN = ExperimentPlan("fig5b", _fig5b_plan, _fig5b_point,
                             _fig5b_describe)
-
-
-def run_fig5b_finish(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Finish latency vs occupancy (Fig. 5b)."""
-    return run_via_points(FIG5B_PLAN, config)

@@ -1,7 +1,7 @@
 """Emulator latency models (FEMU, NVMeVirt, ConfZNS) and fidelity harness."""
 
 from .base import EmulatorModel
-from .fidelity import PROBED_OBSERVATIONS, probe_model, run_fidelity_matrix
+from .fidelity import PROBED_OBSERVATIONS, probe_model
 from .models import ALL_MODELS, CONFZNS, FEMU, NVMEVIRT, THIS_WORK
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "PROBED_OBSERVATIONS",
     "THIS_WORK",
     "probe_model",
-    "run_fidelity_matrix",
 ]

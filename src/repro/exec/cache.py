@@ -9,8 +9,8 @@ Every sweep point is identified by the SHA-256 of
 * the experiment id and the point's parameter dict,
 * the scalar :class:`~repro.core.experiments.common.ExperimentConfig`
   fields (seed, durations, sweep sizes), and
-* whether metrics were collected (a metrics-enabled run needs the
-  per-point registry snapshot in the entry).
+* whether metrics and a trace were collected (such a run needs the
+  per-point registry snapshot or trace segment in the entry).
 
 Entries are small JSON files under ``<dir>/<key[:2]>/<key>.json``,
 written atomically (temp file + rename), so a cache directory doubles
@@ -65,8 +65,10 @@ class ResultCache:
     """Point-result store keyed by content hash.
 
     Entries hold ``{"experiment_id", "label", "payload", "metrics",
-    "elapsed_s"}`` where ``payload`` is the point's JSON payload and
-    ``metrics`` is the worker's registry snapshot (or ``None``).
+    "trace", "telemetry", "elapsed_s", "events"}`` where ``payload`` is
+    the point's JSON payload and the next three are the point's
+    registry snapshot, trace segment and telemetry segments (or
+    ``None``).
     """
 
     def __init__(self, directory: str | os.PathLike,
@@ -79,7 +81,7 @@ class ResultCache:
 
     # -- keying ----------------------------------------------------------
     def key(self, experiment_id: str, params: dict, config_fields: dict,
-            with_metrics: bool) -> str:
+            with_metrics: bool, with_trace: bool = False) -> str:
         blob = json.dumps(
             {
                 "schema": CACHE_SCHEMA,
@@ -88,6 +90,7 @@ class ResultCache:
                 "params": params,
                 "config": config_fields,
                 "metrics": with_metrics,
+                "trace": with_trace,
             },
             sort_keys=True,
             separators=(",", ":"),

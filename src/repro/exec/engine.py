@@ -12,8 +12,9 @@ sweep points (:mod:`repro.core.experiments.points`). The engine
    timeout and crash recovery, or runs them inline when ``jobs == 1``,
 4. reassembles payloads **in plan order** — never completion order — so
    parallel output is byte-identical to the serial run, and
-5. merges per-point :class:`MetricsRegistry` snapshots back into the
-   caller's registry, again in plan order.
+5. merges per-point :class:`MetricsRegistry` snapshots, trace
+   segments (:meth:`Tracer.snapshot`) and telemetry segments back into
+   the caller's registry, tracer and report, again in plan order.
 
 Payloads are canonicalized through a JSON round-trip before assembly,
 so a value has exactly one form whether it came from this process, a
@@ -36,9 +37,8 @@ from ..core.experiments.points import (
     point_label,
 )
 from ..core.results import ExperimentResult, render_table
-from ..sim.engine import events_total
 from .cache import ResultCache
-from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool
+from .pool import DEFAULT_POINT_TIMEOUT_S, WorkerPool, run_point
 
 __all__ = [
     "ExecutionError",
@@ -174,6 +174,10 @@ class ExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
+#: Per-point snapshots that ride the worker reply and the cache entry.
+_SNAPSHOT_KEYS = ("metrics", "trace", "telemetry")
+
+
 @dataclass
 class _Point:
     """Internal bookkeeping for one sweep point."""
@@ -186,48 +190,6 @@ class _Point:
     cache_key: Optional[str] = None
     hint_key: Optional[str] = None
     hint_s: Optional[float] = None
-
-
-def _run_point_inline(plans, task: dict, config: ExperimentConfig) -> dict:
-    """Execute one task in-process (the ``jobs == 1`` path)."""
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.telemetry import TelemetryCollector
-
-    started = time.perf_counter()
-    events_before = events_total()
-    try:
-        run_config = config
-        metrics = None
-        if task["collect_metrics"]:
-            metrics = MetricsRegistry()
-            run_config = dataclasses.replace(config, metrics=metrics)
-        telemetry = None
-        if config.telemetry_interval_ns:
-            # Fresh collector per point (never the caller's): segments
-            # must stay separated by point for plan-order merging, same
-            # as the worker path.
-            telemetry = TelemetryCollector(config.telemetry_interval_ns)
-            run_config = dataclasses.replace(run_config, telemetry=telemetry)
-        payload = plans[task["experiment_id"]].point(run_config, task["params"])
-        return {
-            "task_id": task["task_id"],
-            "ok": True,
-            "payload": payload,
-            "metrics": metrics.snapshot() if metrics is not None else None,
-            "telemetry": telemetry.drain() if telemetry is not None else None,
-            "elapsed_s": time.perf_counter() - started,
-            "events": events_total() - events_before,
-            "attempts": 1,
-        }
-    except Exception:
-        import traceback
-
-        return {
-            "task_id": task["task_id"],
-            "ok": False,
-            "error": traceback.format_exc(),
-            "attempts": 1,
-        }
 
 
 def execute_experiments(
@@ -245,12 +207,6 @@ def execute_experiments(
     :class:`ExecutionError` if any point still fails after its retry.
     """
     config = config or ExperimentConfig()
-    if config.tracer is not None:
-        raise ValueError(
-            "command tracing records one in-process timeline and cannot be "
-            "merged across workers; run traced experiments serially via "
-            "the legacy path (repro run --trace forces it)"
-        )
     if config.telemetry is not None:
         raise ValueError(
             "pass telemetry_interval_ns, not a live collector: the engine "
@@ -269,6 +225,7 @@ def execute_experiments(
         )
     say = progress if progress is not None else (lambda message: None)
     collect_metrics = config.metrics is not None
+    collect_trace = config.tracer is not None
     cfg_fields = config_fields(config)
     cache = ResultCache(cache_dir) if cache_dir else None
 
@@ -289,13 +246,14 @@ def execute_experiments(
 
     # 2. Serve finished points from the cache.
     records: dict[int, PointRecord] = {}
-    snapshots: dict[int, Optional[dict]] = {}
-    segments: dict[int, Optional[list]] = {}
+    #: task id → {"metrics", "trace", "telemetry"} snapshots (or None).
+    snapshots: dict[int, dict] = {}
     misses: list[_Point] = []
     for point in points:
         if cache is not None:
             point.cache_key = cache.key(
-                point.experiment_id, point.params, cfg_fields, collect_metrics
+                point.experiment_id, point.params, cfg_fields,
+                collect_metrics, collect_trace,
             )
             point.hint_key = cache.hint_key(
                 point.experiment_id, point.params, cfg_fields
@@ -303,8 +261,9 @@ def execute_experiments(
             entry = cache.load(point.cache_key)
             if entry is not None:
                 payloads[point.experiment_id][point.index] = entry["payload"]
-                snapshots[point.task_id] = entry.get("metrics")
-                segments[point.task_id] = entry.get("telemetry")
+                snapshots[point.task_id] = {
+                    k: entry.get(k) for k in _SNAPSHOT_KEYS
+                }
                 records[point.task_id] = PointRecord(
                     point.experiment_id, point.label, "cache",
                     entry.get("elapsed_s", 0.0),
@@ -339,6 +298,7 @@ def execute_experiments(
             "params": point.params,
             "config": cfg_fields,
             "collect_metrics": collect_metrics,
+            "collect_trace": collect_trace,
         }
         for point in misses
     ]
@@ -373,7 +333,8 @@ def execute_experiments(
     else:
         replies = {}
         for task in tasks:
-            reply = _run_point_inline(plans, task, config)
+            reply = run_point(plans[task["experiment_id"]], task)
+            reply["attempts"] = 1
             replies[task["task_id"]] = reply
             on_reply(task, reply)
 
@@ -391,15 +352,10 @@ def execute_experiments(
             report.failed += 1
             continue
         payload = canonical_payload(reply["payload"])
-        metrics_snapshot = reply.get("metrics")
-        if metrics_snapshot is not None:
-            metrics_snapshot = canonical_payload(metrics_snapshot)
-        point_segments = reply.get("telemetry")
-        if point_segments is not None:
-            point_segments = canonical_payload(point_segments)
         payloads[point.experiment_id][point.index] = payload
-        snapshots[point.task_id] = metrics_snapshot
-        segments[point.task_id] = point_segments
+        snapshots[point.task_id] = {
+            k: canonical_payload(reply.get(k)) for k in _SNAPSHOT_KEYS
+        }
         records[point.task_id] = PointRecord(
             point.experiment_id, point.label, "run", reply["elapsed_s"],
             attempts=reply.get("attempts", 1),
@@ -411,8 +367,7 @@ def execute_experiments(
                 "experiment_id": point.experiment_id,
                 "label": point.label,
                 "payload": payload,
-                "metrics": metrics_snapshot,
-                "telemetry": point_segments,
+                **snapshots[point.task_id],
                 "elapsed_s": reply["elapsed_s"],
                 "events": int(reply.get("events", 0)),
             })
@@ -425,23 +380,20 @@ def execute_experiments(
     if failures:
         raise ExecutionError(failures, report)
 
-    # 5. Merge metrics snapshots in plan order, then assemble tables.
-    if collect_metrics:
-        for point in points:
-            snapshot = snapshots.get(point.task_id)
-            if snapshot:
-                config.metrics.merge_snapshot(snapshot)
-    if config.telemetry_interval_ns:
-        # Same plan-order discipline as the metrics merge: the combined
-        # timeseries is independent of worker scheduling and --jobs.
-        for point in points:
-            for segment in segments.get(point.task_id) or []:
-                segment = dict(segment)
-                segment["experiment_id"] = point.experiment_id
-                segment["point"] = point.label
-                report.telemetry.setdefault(
-                    point.experiment_id, []
-                ).append(segment)
+    # 5. Merge metrics, trace and telemetry snapshots in plan order (so
+    #    the combined output is independent of worker scheduling and
+    #    --jobs), then assemble tables.
+    for point in points:
+        snapshot = snapshots[point.task_id]
+        if collect_metrics and snapshot["metrics"]:
+            config.metrics.merge_snapshot(snapshot["metrics"])
+        if collect_trace and snapshot["trace"]:
+            config.tracer.merge_snapshot(snapshot["trace"])
+        for segment in snapshot["telemetry"] or []:
+            segment = dict(segment)
+            segment["experiment_id"] = point.experiment_id
+            segment["point"] = point.label
+            report.telemetry.setdefault(point.experiment_id, []).append(segment)
     results = {
         exp_id: assemble(plans[exp_id], config, payloads[exp_id])
         for exp_id in ids

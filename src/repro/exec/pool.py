@@ -15,9 +15,11 @@ Task / reply protocol (everything picklable and JSON-able)::
 
     task  = {"task_id": int, "experiment_id": str, "params": dict,
              "config": dict, "collect_metrics": bool,
+             "collect_trace": bool,
              "heartbeat_s": float}                    # 0 → no progress
     reply = {"task_id": int, "ok": True, "payload": dict,
-             "metrics": dict | None, "telemetry": list | None,
+             "metrics": dict | None, "trace": dict | None,
+             "telemetry": list | None,
              "elapsed_s": float, "events": int, "attempts": int}
           | {"task_id": int, "ok": False, "error": str,
              "attempts": int}
@@ -37,12 +39,11 @@ so messages never interleave mid-frame. Heartbeats report liveness only
 — the per-point deadline is not extended by them (a point that is alive
 but over budget is still killed).
 
-Workers build the :class:`ExperimentConfig` from the scalar ``config``
-fields and look the experiment up in the shared plan registry, so each
-point runs exactly the code the serial path runs. When the config
-carries a telemetry interval the worker creates the per-point
-:class:`~repro.obs.telemetry.TelemetryCollector` itself and ships the
-drained segments in the reply.
+Workers and the in-process ``jobs == 1`` path run a task through the
+same :func:`run_point`: it rebuilds the :class:`ExperimentConfig` from
+the scalar ``config`` fields, gives the point fresh metrics, trace and
+telemetry collectors as the task asks, and ships their snapshots in the
+reply for the parent to merge in plan order.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ import traceback
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Callable, Optional
 
-__all__ = ["WorkerPool", "DEFAULT_POINT_TIMEOUT_S", "DEFAULT_HEARTBEAT_S"]
+__all__ = [
+    "WorkerPool",
+    "DEFAULT_POINT_TIMEOUT_S",
+    "DEFAULT_HEARTBEAT_S",
+    "run_point",
+]
 
 #: Generous per-point wall-clock budget; the longest full-scale point
 #: (fig6 interference timelines) simulates in well under a minute.
@@ -66,12 +72,53 @@ DEFAULT_POINT_TIMEOUT_S = 600.0
 DEFAULT_HEARTBEAT_S = 5.0
 
 
-def _worker_main(conn: Connection) -> None:
-    """Worker loop: receive tasks until ``None`` / EOF, send replies."""
+def run_point(plan, task: dict) -> dict:
+    """Run one task's point and build its reply (workers and ``jobs=1``).
+
+    The config is rebuilt from the task's scalar fields; metrics, trace
+    and telemetry are recorded into fresh per-point collectors whose
+    snapshots ride the reply, so the parent merges them in plan order
+    whether the point ran in a worker, inline, or came from the cache.
+    """
     from ..core.experiments.common import ExperimentConfig
-    from ..core.experiments.points import experiment_plans
     from ..obs.metrics import MetricsRegistry
     from ..obs.telemetry import TelemetryCollector
+    from ..obs.tracer import Tracer
+    from ..sim.engine import events_total
+
+    started = time.perf_counter()
+    events_before = events_total()
+    try:
+        config = ExperimentConfig(**task["config"])
+        metrics = MetricsRegistry() if task["collect_metrics"] else None
+        tracer = Tracer() if task["collect_trace"] else None
+        telemetry = None
+        if config.telemetry_interval_ns:
+            telemetry = TelemetryCollector(config.telemetry_interval_ns)
+        config = dataclasses.replace(
+            config, metrics=metrics, tracer=tracer, telemetry=telemetry)
+        payload = plan.point(config, task["params"])
+        return {
+            "task_id": task["task_id"],
+            "ok": True,
+            "payload": payload,
+            "metrics": metrics.snapshot() if metrics is not None else None,
+            "trace": tracer.snapshot() if tracer is not None else None,
+            "telemetry": telemetry.drain() if telemetry is not None else None,
+            "elapsed_s": time.perf_counter() - started,
+            "events": events_total() - events_before,
+        }
+    except Exception:
+        return {
+            "task_id": task["task_id"],
+            "ok": False,
+            "error": traceback.format_exc(),
+        }
+
+
+def _worker_main(conn: Connection) -> None:
+    """Worker loop: receive tasks until ``None`` / EOF, send replies."""
+    from ..core.experiments.points import experiment_plans
     from ..sim.engine import events_total
 
     plans = experiment_plans(auxiliary=True)
@@ -121,32 +168,7 @@ def _worker_main(conn: Connection) -> None:
             )
             beat_thread.start()
         try:
-            config = ExperimentConfig(**task["config"])
-            metrics = None
-            if task["collect_metrics"]:
-                metrics = MetricsRegistry()
-                config = dataclasses.replace(config, metrics=metrics)
-            telemetry = None
-            if config.telemetry_interval_ns:
-                telemetry = TelemetryCollector(config.telemetry_interval_ns)
-                config = dataclasses.replace(config, telemetry=telemetry)
-            plan = plans[task["experiment_id"]]
-            payload = plan.point(config, task["params"])
-            reply = {
-                "task_id": task_id,
-                "ok": True,
-                "payload": payload,
-                "metrics": metrics.snapshot() if metrics is not None else None,
-                "telemetry": telemetry.drain() if telemetry is not None else None,
-                "elapsed_s": time.perf_counter() - started,
-                "events": events_total() - events_before,
-            }
-        except BaseException:
-            reply = {
-                "task_id": task_id,
-                "ok": False,
-                "error": traceback.format_exc(),
-            }
+            reply = run_point(plans[task["experiment_id"]], task)
         finally:
             if stop is not None:
                 stop.set()

@@ -20,7 +20,7 @@ single command.
 
 This module deliberately avoids importing ``repro.core`` at module
 scope (``repro.core`` imports device code that imports ``repro.obs``);
-the experiment registry is resolved lazily inside
+the execution engine is imported lazily inside
 :func:`profile_experiment`.
 """
 
@@ -191,25 +191,21 @@ class LayerBreakdown:
 
 
 def profile_experiment(
-    exp_id: str, config: Optional[Any] = None
+    exp_id: str, config: Optional[Any] = None, jobs: int = 1
 ) -> tuple[Tracer, LayerBreakdown, Any]:
-    """Run one experiment under a fresh tracer; returns
-    ``(tracer, breakdown, experiment_result)``."""
+    """Run one experiment through the execution engine under a fresh
+    tracer; returns ``(tracer, breakdown, experiment_result)``. The
+    trace, and so the breakdown, is the same at any ``jobs``."""
     # Lazy: repro.core imports the device stack which imports repro.obs.
     from dataclasses import replace
 
     from ..core.experiments.common import ExperimentConfig
-    from ..core.report import EXPERIMENT_RUNNERS
+    from ..exec import execute_experiments
 
-    runners = EXPERIMENT_RUNNERS()
-    if exp_id not in runners:
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; choose from {list(runners)}"
-        )
     tracer = Tracer()
     config = replace(config or ExperimentConfig(), tracer=tracer)
-    result = runners[exp_id](config)
-    return tracer, LayerBreakdown.from_tracer(tracer), result
+    results, _report = execute_experiments([exp_id], config, jobs=jobs)
+    return tracer, LayerBreakdown.from_tracer(tracer), results[exp_id]
 
 
 def _self_smoke_workload(tracer: Optional[Tracer] = None) -> None:

@@ -164,6 +164,51 @@ class Tracer:
                                        args={"value": value}))
         self._event_pids.append(self._cur_pid)
 
+    # -- snapshots -------------------------------------------------------
+    def snapshot(self) -> dict[str, Any]:
+        """A JSON-able image of everything recorded, in insertion order.
+
+        The execution engine records each sweep point into its own
+        tracer and ships this snapshot (a *segment*) in the worker reply
+        and the cache entry, like :meth:`MetricsRegistry.snapshot`.
+        """
+        # ``args`` travel as key/value pairs: the Chrome export keeps
+        # their insertion order, which a key-sorting JSON writer (the
+        # cache) would otherwise lose.
+        return {
+            "processes": [label for _pid, label in self._pids],
+            "commands": self._cmd_seq,
+            "events": [
+                [pid, e.name, e.cat, e.ph, e.ts, e.dur, e.track,
+                 list(e.args.items())]
+                for pid, e in zip(self._event_pids, self._events)
+            ],
+        }
+
+    def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Append a :meth:`snapshot` as if it had been recorded here.
+
+        Process ids and nonzero ``args["cid"]`` values are offset by the
+        processes and commands already recorded, and events recorded
+        before the segment's first :meth:`register_process` land under
+        the current process, exactly as on one shared tracer. Merging
+        segments in plan order therefore reproduces the serial run's
+        shared-tracer timeline event for event.
+        """
+        pid_base = len(self._pids)
+        cid_base = self._cmd_seq
+        before = self._cur_pid
+        for label in snapshot["processes"]:
+            self.register_process(label)
+        for pid, name, cat, ph, ts, dur, track, pairs in snapshot["events"]:
+            args = dict(pairs)
+            if args.get("cid"):
+                args["cid"] += cid_base
+            self._events.append(TraceEvent(name=name, cat=cat, ph=ph, ts=ts,
+                                           dur=dur, track=track, args=args))
+            self._event_pids.append(pid + pid_base if pid else before)
+        self._cmd_seq += snapshot["commands"]
+
     # -- export ----------------------------------------------------------
     def write_jsonl(self, path_or_file) -> int:
         """Write events as JSON-lines (ns timestamps); returns the count."""

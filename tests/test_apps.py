@@ -1,8 +1,8 @@
-"""Tests for the application substrates (zonefs, striped zone array)."""
+"""Tests for the zonefs application substrate."""
 
 import pytest
 
-from repro.apps import StripedZoneArray, ZoneFs
+from repro.apps import ZoneFs
 from repro.stacks import SpdkStack
 from repro.zns import ZoneState
 
@@ -15,13 +15,6 @@ KIB = 1024
 def fs():
     sim, dev = make_device()
     return ZoneFs(dev, SpdkStack(dev))
-
-
-@pytest.fixture()
-def array():
-    sim, dev = make_device()
-    return StripedZoneArray(dev, member_zones=[0, 1, 2, 3],
-                            stripe_unit=64 * KIB, stack=SpdkStack(dev))
 
 
 class TestZoneFs:
@@ -86,89 +79,3 @@ class TestZoneFs:
     def test_unknown_file_rejected(self, fs):
         with pytest.raises(ValueError):
             fs.file(99)
-
-
-class TestStripedZoneArray:
-    def test_capacity_is_sum_of_members(self, array):
-        assert array.width == 4
-        assert array.capacity == 4 * 6 * 1024 * KIB
-
-    def test_append_stripes_round_robin(self, array):
-        start, completions = array.append(256 * KIB)  # 4 stripe units
-        assert start == 0
-        assert len(completions) == 4
-        # One unit landed on each member zone.
-        for z in range(4):
-            assert array.device.zones.zones[z].occupancy_lbas == 16  # 64 KiB
-
-    def test_small_append_advances_member_cursor(self, array):
-        array.append(64 * KIB)   # member 0
-        array.append(64 * KIB)   # member 1
-        occ = [array.device.zones.zones[z].occupancy_lbas for z in range(4)]
-        assert occ == [16, 16, 0, 0]
-
-    def test_read_reassembles_across_members(self, array):
-        array.append(256 * KIB)
-        completions = array.pread(0, 256 * KIB)
-        assert len(completions) == 4
-        # A read inside one stripe unit touches exactly one member.
-        assert len(array.pread(64 * KIB, 32 * KIB)) == 1
-
-    def test_read_spanning_stripe_boundary(self, array):
-        array.append(256 * KIB)
-        completions = array.pread(32 * KIB, 64 * KIB)
-        assert len(completions) == 2
-
-    def test_read_beyond_written_rejected(self, array):
-        array.append(64 * KIB)
-        with pytest.raises(ValueError, match="beyond the written extent"):
-            array.pread(0, 128 * KIB)
-
-    def test_capacity_enforced(self, array):
-        with pytest.raises(ValueError, match="exceeds the array capacity"):
-            array.append(array.capacity + 64 * KIB)
-
-    def test_reset_reclaims_all_members(self, array):
-        array.append(512 * KIB)
-        array.reset()
-        assert array.written == 0
-        assert all(
-            array.device.zones.zones[z].state is ZoneState.EMPTY
-            for z in array.member_zones
-        )
-        # The array is reusable after reset.
-        start, _ = array.append(64 * KIB)
-        assert start == 0
-
-    def test_striped_append_beats_sequential_appends(self):
-        """The point of the array: its stripe units are issued
-        *concurrently* across members, so a striped append completes
-        faster than the same volume issued one unit at a time."""
-        from .util import quiet_profile
-
-        def elapsed(striped: bool) -> int:
-            sim, dev = make_device(quiet_profile())
-            array = StripedZoneArray(dev, list(range(4)),
-                                     stripe_unit=64 * KIB, stack=SpdkStack(dev))
-            start = sim.now
-            for _ in range(8):
-                if striped:
-                    array.append(256 * KIB)       # 4 concurrent units
-                else:
-                    for _ in range(4):
-                        array.append(64 * KIB)    # 4 serialized units
-            return sim.now - start
-
-        assert elapsed(striped=True) < 0.5 * elapsed(striped=False)
-
-    def test_validation(self):
-        sim, dev = make_device()
-        with pytest.raises(ValueError):
-            StripedZoneArray(dev, member_zones=[0])
-        with pytest.raises(ValueError):
-            StripedZoneArray(dev, member_zones=[0, 0])
-        with pytest.raises(ValueError):
-            StripedZoneArray(dev, member_zones=[0, 1], stripe_unit=1000)
-        array = StripedZoneArray(dev, member_zones=[0, 1])
-        with pytest.raises(ValueError):
-            array.append(1000)

@@ -49,6 +49,25 @@ class TestObservabilityCli:
         payload = json.loads(perfetto.read_text())
         assert payload["traceEvents"]
 
+    def test_traced_run_writes_run_dir(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        run_dir = tmp_path / "run"
+        assert main(["--fast", "run", "fig2b", "--no-cache", "--trace",
+                     str(trace), "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "run.json").exists()
+        assert trace.stat().st_size > 0
+
+    def test_trace_with_telemetry_matches_untraced_telemetry(self, tmp_path):
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        assert main(["--fast", "run", "fig2b", "--no-cache", "--telemetry",
+                     "50", "--run-dir", str(plain)]) == 0
+        assert main(["--fast", "run", "fig2b", "--no-cache", "--telemetry",
+                     "50", "--jobs", "2", "--trace-perfetto",
+                     str(tmp_path / "t.json"), "--run-dir", str(traced)]) == 0
+        assert ((plain / "telemetry.json").read_bytes()
+                == (traced / "telemetry.json").read_bytes())
+        assert json.loads((tmp_path / "t.json").read_text())["traceEvents"]
+
     def test_profile_self(self, capsys):
         assert main(["profile", "--self"]) == 0
         out = capsys.readouterr().out
@@ -59,6 +78,12 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert "[profile] experiment fig2b" in out
         assert "per-opcode latency" in out
+
+    def test_profile_breakdown_same_at_any_jobs(self, capsys):
+        assert main(["--fast", "profile", "fig2b"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["--fast", "profile", "fig2b", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_profile_without_target_errors(self):
         with pytest.raises(SystemExit):

@@ -7,13 +7,11 @@ calibration gate and EXPERIMENTS.md numbers exact.
 """
 
 from repro.core import ExperimentConfig
-from repro.core.experiments.lba_format import run_fig2a
-from repro.core.experiments.state_machine import run_fig5a_reset
 from repro.sim import ms
 from repro.stacks import SpdkStack
 from repro.workload import IoKind, JobRunner, JobSpec
 
-from .util import make_device
+from .util import make_device, run_experiment
 from repro.zns.profiles import zn540_small
 
 
@@ -24,19 +22,19 @@ def fast_config():
 
 class TestExperimentDeterminism:
     def test_fig2a_reproduces_exactly(self):
-        a = run_fig2a(fast_config())
-        b = run_fig2a(fast_config())
+        a = run_experiment("fig2a", fast_config())
+        b = run_experiment("fig2a", fast_config())
         assert a.rows == b.rows
 
     def test_fig5a_reproduces_exactly(self):
-        a = run_fig5a_reset(fast_config())
-        b = run_fig5a_reset(fast_config())
+        a = run_experiment("fig5a", fast_config())
+        b = run_experiment("fig5a", fast_config())
         assert a.rows == b.rows
 
     def test_different_seeds_differ_but_stay_close(self):
-        a = run_fig2a(fast_config())
-        b = run_fig2a(ExperimentConfig(seed=99, point_runtime_ns=ms(2),
-                                       ramp_ns=ms(0.4), num_zones=16))
+        a = run_experiment("fig2a", fast_config())
+        b = run_experiment("fig2a", ExperimentConfig(
+            seed=99, point_runtime_ns=ms(2), ramp_ns=ms(0.4), num_zones=16))
         lat_a = a.value("latency_us", lba_format="4KiB", stack="spdk", op="write")
         lat_b = b.value("latency_us", lba_format="4KiB", stack="spdk", op="write")
         assert lat_a != lat_b  # different jitter draws

@@ -11,6 +11,7 @@ The headline guarantees under test:
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing as mp
 import os
@@ -23,9 +24,9 @@ from repro.core.experiments.common import ExperimentConfig
 from repro.core.experiments.points import (
     ExperimentPlan,
     experiment_plans,
+    run_via_points,
     serialize_result,
 )
-from repro.core.report import run_experiments
 from repro.exec import (
     ExecutionError,
     ResultCache,
@@ -35,6 +36,7 @@ from repro.exec import (
     config_fields,
     execute_experiments,
 )
+from repro.obs.profile import LayerBreakdown
 from repro.obs.tracer import Tracer
 from repro.sim.engine import ms
 
@@ -74,6 +76,8 @@ class TestResultCache:
         assert cache.key("fig2a", {"op": "read"}, {"seed": 1}, False) != base
         assert cache.key("fig2a", {"op": "write"}, {"seed": 2}, False) != base
         assert cache.key("fig2a", {"op": "write"}, {"seed": 1}, True) != base
+        assert cache.key("fig2a", {"op": "write"}, {"seed": 1}, False,
+                         True) != base
         other = ResultCache(tmp_path, version="v2")
         assert other.key("fig2a", {"op": "write"}, {"seed": 1}, False) != base
 
@@ -134,16 +138,17 @@ class TestCanonicalization:
 class TestEngineOutputIdentity:
     IDS = ["fig2a", "obs9"]
 
-    def test_parallel_matches_serial_and_legacy(self):
+    def test_parallel_matches_serial_and_reference(self):
         config = tiny_config()
-        legacy = run_experiments(self.IDS, config)
+        plans = experiment_plans()
+        reference = {i: run_via_points(plans[i], config) for i in self.IDS}
         serial, _ = execute_experiments(self.IDS, config, jobs=1)
         parallel, _ = execute_experiments(self.IDS, config, jobs=2)
         assert results_blob(serial) == results_blob(parallel)
         # The engine's canonicalized tables render exactly like the
-        # legacy serial driver's.
+        # uncached, uncanonicalized serial reference's.
         for exp_id in self.IDS:
-            assert serial[exp_id].table() == legacy[exp_id].table()
+            assert serial[exp_id].table() == reference[exp_id].table()
 
     def test_cached_rerun_skips_all_simulation(self, tmp_path):
         config = tiny_config()
@@ -192,15 +197,83 @@ class TestEngineOutputIdentity:
         with pytest.raises(KeyError, match="no-such-exp"):
             execute_experiments(["no-such-exp"], tiny_config())
 
-    def test_tracer_config_rejected(self):
-        with pytest.raises(ValueError, match="serially"):
-            execute_experiments(["fig2a"], tiny_config(tracer=Tracer()),
-                                jobs=2)
+    def test_registry_lists_paper_order(self):
+        # The one registry fixes `repro list` and the default run order.
+        assert list(experiment_plans()) == [
+            "fig2a", "fig2b", "fig3", "fig4a", "fig4b", "fig4c", "obs9",
+            "fig5a", "fig5b", "fig6", "obs11", "fig7", "fig7_fleet", "fig8",
+            "fig8_aging", "fig6rates", "ablation-buffer",
+            "ablation-append-cost", "ablation-gc-priority",
+            "ablation-geometry", "ablation-zone-size",
+        ]
+        assert list(experiment_plans(auxiliary=True))[-1] == "sec4"
 
-    def test_registry_covers_every_legacy_runner(self):
-        from repro.core.report import EXPERIMENT_RUNNERS
 
-        assert list(experiment_plans()) == list(EXPERIMENT_RUNNERS())
+def _trace_files(tracer: Tracer) -> tuple[str, str]:
+    jsonl, chrome = io.StringIO(), io.StringIO()
+    tracer.write_jsonl(jsonl)
+    tracer.write_chrome_trace(chrome)
+    return jsonl.getvalue(), chrome.getvalue()
+
+
+class TestTraceSegments:
+    """Each point traces into its own tracer; the engine merges the
+    segments in plan order into exactly one shared tracer's timeline."""
+
+    IDS = ["fig2b", "fig5a"]
+
+    def _engine_trace(self, **kwargs):
+        tracer = Tracer()
+        results, report = execute_experiments(
+            self.IDS, tiny_config(tracer=tracer), **kwargs)
+        return tracer, results, report
+
+    def test_merged_trace_matches_one_shared_tracer(self, tmp_path):
+        shared = Tracer()
+        config = tiny_config(tracer=shared)
+        plans = experiment_plans()
+        reference = {i: run_via_points(plans[i], config) for i in self.IDS}
+        inline, serial, _ = self._engine_trace(jobs=1)
+        parallel, _, _ = self._engine_trace(jobs=2, cache_dir=tmp_path)
+        warm, cached, report = self._engine_trace(jobs=2, cache_dir=tmp_path)
+        assert report.executed == 0 and report.cache_hits == len(report.points)
+
+        expected = _trace_files(shared)
+        assert expected[0] and len(shared) > 0
+        for tracer in (inline, parallel, warm):
+            assert _trace_files(tracer) == expected
+            assert (vars(LayerBreakdown.from_tracer(tracer))
+                    == vars(LayerBreakdown.from_tracer(shared)))
+        assert results_blob(serial) == results_blob(cached)
+        for exp_id in self.IDS:
+            assert serial[exp_id].table() == reference[exp_id].table()
+
+    def test_cache_keeps_traced_and_untraced_entries_apart(self, tmp_path):
+        execute_experiments(["fig2b"], tiny_config(), cache_dir=tmp_path)
+        tracer = Tracer()
+        _, report = execute_experiments(
+            ["fig2b"], tiny_config(tracer=tracer), cache_dir=tmp_path)
+        # An untraced entry has no segment, so a traced run recomputes.
+        assert report.cache_hits == 0 and len(tracer) > 0
+
+    def test_snapshot_round_trip_offsets_pids_and_cids(self):
+        first, second = Tracer(), Tracer()
+        for tracer, label in ((first, "a"), (second, "b")):
+            tracer.instant("zone", "before-register", 0)
+            tracer.register_process(label)
+            cid = tracer.begin_command("write")
+            tracer.span("command", "write", 5, 9, cid=cid, opcode="write")
+            tracer.span("firmware", "gc", 6, 7, cid=0)
+        merged = Tracer()
+        for tracer in (first, second):
+            merged.merge_snapshot(canonical_payload(tracer.snapshot()))
+        events = merged.snapshot()["events"]
+        # The second segment's pre-registration event lands under the
+        # first segment's process, as on one shared tracer.
+        assert [event[0] for event in events] == [0, 1, 1, 1, 2, 2]
+        assert [dict(event[7]).get("cid") for event in events] == [
+            None, 1, 0, None, 2, 0]
+        assert merged.commands_traced == 2
 
 
 # --- worker failure handling -------------------------------------------------
@@ -300,7 +373,7 @@ class TestWorkerPool:
         tasks = [
             {"task_id": i, "experiment_id": "failing",
              "params": {"mode": "ok"}, "config": config_fields(tiny_config()),
-             "collect_metrics": False}
+             "collect_metrics": False, "collect_trace": False}
             for i in range(5)
         ]
         replies = pool.run(tasks)
@@ -320,7 +393,7 @@ class TestWorkerPool:
             {"task_id": i, "experiment_id": "failing",
              "params": {"mode": mode},
              "config": config_fields(tiny_config()),
-             "collect_metrics": False}
+             "collect_metrics": False, "collect_trace": False}
             for i, mode in enumerate(["crash-once", "ok"])
         ]
         replies = pool.run(tasks)

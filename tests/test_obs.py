@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.core.experiments.lba_format import run_fig2b
 from repro.hostif import Command, Opcode, ZoneAction
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS_NS,
@@ -27,7 +26,7 @@ from repro.sim import Simulator, ms
 from repro.sim.engine import SimulationError
 from repro.workload.stats import LatencyStats, TimeSeries
 
-from .util import append, make_device, read, run_cmd, write
+from .util import append, make_device, read, run_cmd, run_experiment, write
 
 
 class TestTracer:
@@ -339,10 +338,11 @@ def _fig2b_config(**extra):
 
 class TestTracingDeterminism:
     def test_traced_run_identical_to_untraced(self):
-        plain = run_fig2b(_fig2b_config())
+        plain = run_experiment("fig2b", _fig2b_config())
         tracer = Tracer()
         registry = MetricsRegistry()
-        traced = run_fig2b(_fig2b_config(tracer=tracer, metrics=registry))
+        traced = run_experiment(
+            "fig2b", _fig2b_config(tracer=tracer, metrics=registry))
         assert plain.rows == traced.rows
         assert len(tracer) > 0
         assert registry.snapshot()["device.completed.write"] > 0

@@ -8,12 +8,10 @@ import pytest
 
 from repro.apps import LsmConfig, LsmWorkload, ZoneFs
 from repro.core.experiments.common import ExperimentConfig
-from repro.core.experiments.fleet import run_fig7_fleet
 from repro.core.experiments.points import serialize_result
 from repro.exec import execute_experiments
 from repro.hostif import Command, Opcode, Status, ZoneAction
 from repro.sim.engine import ms, us
-from repro.stacks.spdk import SpdkStack
 from repro.tenancy import (
     HostSession,
     ResetStorm,
@@ -25,7 +23,7 @@ from repro.workload.job import JobSpec
 from repro.workload.runner import JobRunner
 from repro.zns import ZoneState
 
-from .util import make_device, quiet_profile
+from .util import make_device, quiet_profile, run_experiment
 
 
 def fleet_config(**extra) -> ExperimentConfig:
@@ -264,7 +262,7 @@ class TestLsmWorkload:
 
 class TestFig7Fleet:
     def test_reports_per_tenant_slo_and_inflation(self):
-        result = run_fig7_fleet(fleet_config())
+        result = run_experiment("fig7_fleet", fleet_config())
         modes = {row["mode"] for row in result.rows}
         assert modes == {"baseline", "reset-storm"}
         serving = [r for r in result.rows if r["workload"] == "lsm"]
@@ -277,7 +275,7 @@ class TestFig7Fleet:
         assert violations["reset-storm"] > violations["baseline"]
 
     def test_tenant_count_is_a_config_knob(self):
-        result = run_fig7_fleet(fleet_config(fleet_tenants=2))
+        result = run_experiment("fig7_fleet", fleet_config(fleet_tenants=2))
         baseline = [r for r in result.rows if r["mode"] == "baseline"]
         assert [r["tenant"] for r in baseline] == ["serve0", "serve1"]
 
@@ -315,19 +313,6 @@ class TestAppsStackRouting:
         completion = sim.run(until=event)
         assert completion.ok
         assert completion.command.tenant == "fs-tenant"
-
-    def test_zraid_default_pays_stack_overhead(self):
-        from repro.apps import StripedZoneArray
-
-        sim, dev = make_device()
-        array = StripedZoneArray(dev, [0, 1], stripe_unit=4096)
-        _, completions = array.append(8192)
-        sim2, dev2 = make_device()
-        explicit = StripedZoneArray(dev2, [0, 1], stripe_unit=4096,
-                                    stack=SpdkStack(dev2))
-        _, explicit_completions = explicit.append(8192)
-        assert ([c.latency_ns for c in completions]
-                == [c.latency_ns for c in explicit_completions])
 
     def test_zonefs_async_variants_inside_running_sim(self):
         # append/pread/truncate events usable from a workload process.

@@ -13,8 +13,8 @@ Structure:
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
-* GC picks greedy victims (fewest valid pages), relocates the survivors,
-  and erases.
+* GC picks greedy victims (fewest valid pages) from an index of full
+  blocks bucketed by valid count, relocates the survivors, and erases.
 
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
@@ -37,7 +37,8 @@ class FtlFullError(RuntimeError):
 class Block:
     """One erase block: slot→logical back-map and validity accounting."""
 
-    __slots__ = ("block_id", "die", "slot_to_logical", "write_slot", "valid_count")
+    __slots__ = ("block_id", "die", "slot_to_logical", "write_slot",
+                 "valid_count", "is_full")
 
     def __init__(self, block_id: int, die: int, pages_per_block: int):
         self.block_id = block_id
@@ -45,13 +46,7 @@ class Block:
         self.slot_to_logical = [-1] * pages_per_block
         self.write_slot = 0
         self.valid_count = 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.write_slot >= len(self.slot_to_logical)
-
-    def garbage_pages(self) -> int:
-        return self.write_slot - self.valid_count
+        self.is_full = False  # set when the last slot is written, cleared on erase
 
 
 class PageMappedFtl:
@@ -68,6 +63,8 @@ class PageMappedFtl:
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
         self._l2p: dict[int, int] = {}
+        self._total_dies = geometry.total_dies
+        self._total_blocks = geometry.total_blocks
         blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
         if not 0 <= spare_blocks_per_die < blocks_per_die:
             raise ValueError(
@@ -93,6 +90,9 @@ class PageMappedFtl:
         self._user_active: list[Optional[Block]] = [None] * geometry.total_dies
         self._gc_active: list[Optional[Block]] = [None] * geometry.total_dies
         self._die_cursor = 0
+        #: Greedy victim index (DESIGN.md §10.1): bucket ``v`` holds the
+        #: ids of the full, non-bad blocks with ``valid_count == v``.
+        self._buckets: list[set[int]] = [set() for _ in range(self.pages_per_block + 1)]
         self.free_block_count = (
             geometry.total_blocks - spare_blocks_per_die * geometry.total_dies
         )
@@ -102,7 +102,7 @@ class PageMappedFtl:
     # -- introspection -----------------------------------------------------
     @property
     def free_fraction(self) -> float:
-        return self.free_block_count / self.geometry.total_blocks
+        return self.free_block_count / self._total_blocks
 
     def mapped_pages(self) -> int:
         return len(self._l2p)
@@ -167,52 +167,36 @@ class PageMappedFtl:
 
     # -- garbage collection ----------------------------------------------------
     def pick_victim(self, exclude: Optional[set[int]] = None) -> Optional[Block]:
-        """Greedy victim: the full, non-active block with fewest valid pages.
+        """Greedy victim: the full block with the fewest valid pages.
 
-        ``exclude`` skips blocks already being collected (lets a pipelined
-        GC pick several victims concurrently).
+        Ties go to the lowest ``block_id``. Fully valid blocks yield
+        nothing and are never picked, nor are retired ones. ``exclude``
+        skips blocks already being collected (lets a pipelined GC pick
+        several victims concurrently).
         """
-        # A full block no longer accepts writes, so it is collectable even
-        # while still referenced as a stream's most-recent active block.
-        active = {
-            b.block_id
-            for b in (*self._user_active, *self._gc_active)
-            if b is not None and not b.is_full
-        }
-        if exclude:
-            active |= exclude
-        best: Optional[Block] = None
-        for block in self.blocks:
-            if block.block_id in active or not block.is_full:
-                continue
-            if block.block_id in self.bad_blocks:
-                continue
-            if block.garbage_pages() == 0 and block.valid_count > 0:
-                # Fully valid blocks yield nothing; skip unless no choice.
-                continue
-            if best is None or block.valid_count < best.valid_count:
-                best = block
-                if best.valid_count == 0:
-                    break
-        return best
+        for bucket in self._buckets[:-1]:
+            if exclude and bucket:
+                bucket = bucket - exclude
+            if bucket:
+                return self.blocks[min(bucket)]
+        return None
 
-    def relocate(self, victim: Block, slot: int) -> Optional[int]:
-        """Move one valid page out of a victim; returns the new physical page.
+    def relocate_block(self, victim: Block) -> list[int]:
+        """Move a victim's valid pages out, in slot order.
 
-        Returns None when the slot holds no valid page. The caller
-        simulates the read (victim die) + program (returned page's die).
+        Returns the new physical pages; the caller simulates each read
+        (victim die) + program (new page's die).
         """
-        logical = victim.slot_to_logical[slot]
-        if logical < 0:
-            return None
-        physical = victim.block_id * self.pages_per_block + slot
-        if self._l2p.get(logical) != physical:
-            return None  # stale: overwritten since GC scanned
-        self._invalidate_physical(physical)
-        new_physical = self._allocate(self._gc_active, logical)
-        self._l2p[logical] = new_physical
-        self.total_gc_pages_copied += 1
-        return new_physical
+        base = victim.block_id * self.pages_per_block
+        moved = []
+        for slot, logical in enumerate(victim.slot_to_logical):
+            if logical >= 0:
+                self._invalidate_physical(base + slot)
+                new_physical = self._allocate(self._gc_active, logical)
+                self._l2p[logical] = new_physical
+                moved.append(new_physical)
+        self.total_gc_pages_copied += len(moved)
+        return moved
 
     def erase(self, victim: Block) -> None:
         """Recycle a victim block (caller simulates the NAND erase)."""
@@ -220,8 +204,10 @@ class PageMappedFtl:
             raise ValueError(
                 f"erasing block {victim.block_id} with {victim.valid_count} valid pages"
             )
+        self._buckets[0].discard(victim.block_id)
         victim.slot_to_logical = [-1] * self.pages_per_block
         victim.write_slot = 0
+        victim.is_full = False
         self._free[victim.die].append(victim.block_id)
         self.free_block_count += 1
 
@@ -229,7 +215,8 @@ class PageMappedFtl:
         """Bad-block management: pull a failed-erase victim out of
         circulation and promote a factory spare in its place.
 
-        The victim must be collected (no valid pages). Returns the
+        The victim must be collected: full, with no valid pages (a free
+        or still-active block raises ``ValueError``). Returns the
         promoted spare ``Block`` — flagged in ``remapped_blocks`` so the
         device charges the remap-table indirection on later accesses —
         or ``None`` when the die's spare pool is exhausted (the die
@@ -240,9 +227,10 @@ class PageMappedFtl:
                 f"retiring block {victim.block_id} with "
                 f"{victim.valid_count} valid pages"
             )
+        if not victim.is_full or victim.block_id in self.bad_blocks:
+            raise ValueError(f"block {victim.block_id} is not a collected victim")
         self.bad_blocks.add(victim.block_id)
-        victim.slot_to_logical = [-1] * self.pages_per_block
-        victim.write_slot = self.pages_per_block  # full forever: never allocated
+        self._buckets[0].remove(victim.block_id)  # stays full: never allocated again
         spares = self._spare[victim.die]
         if not spares:
             return None
@@ -251,6 +239,36 @@ class PageMappedFtl:
         self._free[victim.die].append(spare_id)
         self.free_block_count += 1
         return self.blocks[spare_id]
+
+    def check_invariants(self) -> None:
+        """Assert the mapping, pool and victim-index invariants (used by
+        property tests)."""
+        ppb = self.pages_per_block
+        live: dict[int, int] = {}
+        buckets: list[set[int]] = [set() for _ in self._buckets]
+        for block in self.blocks:
+            slots = [s for s, logical in enumerate(block.slot_to_logical) if logical >= 0]
+            assert block.valid_count == len(slots), f"block {block.block_id} valid-count drift"
+            assert block.is_full == (block.write_slot == ppb), "is_full drift"
+            for slot in slots:
+                logical = block.slot_to_logical[slot]
+                assert logical not in live, f"logical page {logical} mapped twice"
+                live[logical] = block.block_id * ppb + slot
+            if block.is_full and block.block_id not in self.bad_blocks:
+                buckets[block.valid_count].add(block.block_id)
+        assert live == self._l2p, "L2P and back-maps disagree"
+        assert buckets == self._buckets, "victim index drift"
+        free = [block_id for pool in self._free for block_id in pool]
+        assert self.free_block_count == len(free), "free-block count drift"
+        free_set = set(free)
+        spare = {block_id for pool in self._spare for block_id in pool}
+        assert len(free_set) == len(free), "block on a free list twice"
+        assert not (free_set & spare or free_set & self.bad_blocks
+                    or spare & self.bad_blocks), "free/spare/bad pools overlap"
+        assert all(self.blocks[b].write_slot == 0 for b in free), "unerased free block"
+        active = {b.block_id for b in (*self._user_active, *self._gc_active)
+                  if b is not None}
+        assert not active & free_set, "active block on a free list"
 
     # -- internals ----------------------------------------------------------
     def _check_logical(self, logical_page: int) -> None:
@@ -265,16 +283,20 @@ class PageMappedFtl:
         if block.slot_to_logical[slot] < 0:
             raise ValueError(f"double invalidate of physical page {physical}")
         block.slot_to_logical[slot] = -1
-        block.valid_count -= 1
+        valid = block.valid_count
+        block.valid_count = valid - 1
+        if block.is_full:
+            self._buckets[valid].remove(block.block_id)
+            self._buckets[valid - 1].add(block.block_id)
 
     def _allocate(self, active_set: list[Optional[Block]], logical: int,
                   reserve: int = 0) -> int:
-        dies = self.geometry.total_dies
+        dies = self._total_dies
         for _ in range(dies):
             die = self._die_cursor
             self._die_cursor = (self._die_cursor + 1) % dies
             block = active_set[die]
-            if block is None or block.is_full:
+            if block is None:
                 if self.free_block_count <= reserve:
                     continue  # don't eat into the GC reserve
                 block = self._take_free_block(die)
@@ -282,9 +304,13 @@ class PageMappedFtl:
                     continue
                 active_set[die] = block
             slot = block.write_slot
-            block.write_slot += 1
+            block.write_slot = slot + 1
             block.slot_to_logical[slot] = logical
             block.valid_count += 1
+            if slot + 1 == self.pages_per_block:
+                block.is_full = True
+                self._buckets[block.valid_count].add(block.block_id)
+                active_set[die] = None  # a stream never holds a full block
             return block.block_id * self.pages_per_block + slot
         raise FtlFullError("no allocatable block outside the GC reserve")
 

@@ -1,5 +1,7 @@
 """Integration tests for the conventional SSD device model."""
 
+import hashlib
+
 import pytest
 
 from repro.flash import KIB, MIB, FlashGeometry
@@ -88,6 +90,29 @@ class TestPrecondition:
         sim, dev = make_conv()
         with pytest.raises(ValueError):
             dev.precondition(1.5)
+
+    def test_steady_state_is_pinned(self):
+        """The preconditioned FTL state (the greedy victim order) is pinned.
+
+        The digest was recorded with the original linear victim scan; any
+        change to which victim GC picks, or to where relocated pages land,
+        changes it.
+        """
+        sim, dev = make_conv()
+        dev.precondition(0.92, steady_state_churn=1.5, seed=7)
+        ftl = dev.ftl
+        ftl.check_invariants()
+        streams = [None if b is None or b.is_full else b.block_id
+                   for b in (*ftl._user_active, *ftl._gc_active)]
+        h = hashlib.sha256()
+        h.update(repr(sorted(ftl._l2p.items())).encode())
+        for block in ftl.blocks:
+            h.update(repr((block.write_slot, block.valid_count,
+                           block.slot_to_logical)).encode())
+        h.update(repr([list(free) for free in ftl._free]).encode())
+        h.update(repr((ftl._die_cursor, ftl.free_block_count, streams)).encode())
+        assert h.hexdigest() == (
+            "00718818658fb443a14e3c9ed4e879dd40a8cf6eb42b876f01cff67c3ac91a5d")
 
 
 class TestGarbageCollectionBehaviour:

@@ -1,10 +1,13 @@
 """Unit + property tests for the page-mapped FTL and GC policy."""
 
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conv import FtlFullError, GcPolicy, GcStats, PageMappedFtl
+from repro.conv.ftl import Block
 from repro.flash import KIB, FlashGeometry
 
 
@@ -26,8 +29,7 @@ def run_gc_until(ftl: PageMappedFtl, target_free: float) -> None:
     while ftl.free_fraction < target_free:
         victim = ftl.pick_victim()
         assert victim is not None, "no victim available"
-        for slot in range(ftl.pages_per_block):
-            ftl.relocate(victim, slot)
+        ftl.relocate_block(victim)
         assert victim.valid_count == 0
         ftl.erase(victim)
 
@@ -91,7 +93,7 @@ class TestGarbageCollection:
             ftl.commit_write(logical)
         victim = ftl.pick_victim()
         assert victim is not None
-        assert victim.garbage_pages() > 0
+        assert victim.valid_count < ftl.pages_per_block
 
     def test_relocate_preserves_all_mappings(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
@@ -114,6 +116,19 @@ class TestGarbageCollection:
         full_block = next(b for b in ftl.blocks if b.is_full)
         with pytest.raises(ValueError):
             ftl.erase(full_block)
+
+    def test_erased_block_is_no_stream_active_block(self):
+        # A stream used to keep its last, full block as "active". Once GC
+        # erased that block, the stream wrote into it while it also sat
+        # on the free list, waiting to be handed out a second time.
+        ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+        for _ in range(7):
+            ftl.commit_write(0)
+        victim = ftl.pick_victim()
+        ftl.relocate_block(victim)
+        ftl.erase(victim)
+        assert victim not in (*ftl._user_active, *ftl._gc_active)
+        ftl.check_invariants()
 
     def test_write_amplification_accounting(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
@@ -174,9 +189,75 @@ def test_mapping_integrity_under_random_overwrites_and_gc(writes):
             run_gc_until(ftl, 0.3)
         ftl.commit_write(logical)
         written.add(logical)
+        ftl.check_invariants()
         total_valid = sum(b.valid_count for b in ftl.blocks)
         assert total_valid == ftl.mapped_pages() == len(written)
     for logical in written:
         physical = ftl.lookup(logical)
         block = ftl.blocks[physical // ftl.pages_per_block]
         assert block.slot_to_logical[physical % ftl.pages_per_block] == logical
+
+
+def linear_scan_victim(ftl: PageMappedFtl,
+                       exclude: Optional[set[int]] = None) -> Optional[Block]:
+    """Reference greedy victim: the original scan over every block."""
+    active = {
+        b.block_id
+        for b in (*ftl._user_active, *ftl._gc_active)
+        if b is not None and not b.is_full
+    }
+    if exclude:
+        active |= exclude
+    best: Optional[Block] = None
+    for block in ftl.blocks:
+        if block.block_id in active or not block.is_full:
+            continue
+        if block.block_id in ftl.bad_blocks:
+            continue
+        if block.write_slot - block.valid_count == 0 and block.valid_count > 0:
+            continue  # fully valid: nothing to reclaim
+        if best is None or block.valid_count < best.valid_count:
+            best = block
+            if best.valid_count == 0:
+                break
+    return best
+
+
+FTL_OPS = st.sampled_from(["write"] * 6 + ["trim"] * 2 + ["gc"] * 3 + ["retire"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(FTL_OPS, st.integers(0, 23),
+                  st.frozensets(st.integers(0, 15), max_size=6)),
+        min_size=30, max_size=200,
+    ),
+)
+def test_indexed_victim_matches_linear_scan(steps):
+    """The bucketed victim index picks exactly what the full scan picks,
+    under writes, trims, GC with in-flight exclusions and retirement."""
+    ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25,
+                        spare_blocks_per_die=1)
+    for op, logical, exclude in steps:
+        exclude = set(exclude)
+        victim = ftl.pick_victim(exclude)
+        assert victim is linear_scan_victim(ftl, exclude)
+        assert ftl.pick_victim() is linear_scan_victim(ftl)
+        if op == "write":
+            try:
+                ftl.commit_write(logical)
+            except FtlFullError:
+                pass
+        elif op == "trim":
+            ftl.trim(logical)
+        elif victim is not None and ftl.free_block_count > 0:
+            # One free block always holds a victim's (< pages_per_block)
+            # survivors, so relocation cannot run out of destinations.
+            ftl.relocate_block(victim)
+            if op == "gc":
+                ftl.erase(victim)
+            else:
+                ftl.retire_block(victim)
+        ftl.check_invariants()
+    assert ftl.pick_victim() is linear_scan_victim(ftl)

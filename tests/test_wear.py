@@ -325,6 +325,15 @@ class TestConvBadBlocks:
         return PageMappedFtl(geometry, overprovision=0.25,
                              spare_blocks_per_die=spares)
 
+    def _collect(self, ftl, trimmed):
+        """Collect one victim as GC does: trim most of a block, pick it,
+        relocate its survivors. Returns the emptied (still full) victim."""
+        for logical in trimmed:
+            ftl.trim(logical)
+        victim = ftl.pick_victim()
+        ftl.relocate_block(victim)
+        return victim
+
     def test_spares_held_out_of_circulation(self):
         ftl = self._ftl(spares=1)
         total = ftl.geometry.total_blocks
@@ -333,7 +342,9 @@ class TestConvBadBlocks:
 
     def test_retire_promotes_spare_and_flags_remap(self):
         ftl = self._ftl(spares=1)
-        victim = ftl.blocks[0]
+        for logical in range(16):
+            ftl.commit_write(logical)
+        victim = self._collect(ftl, (0, 2, 4))   # block 0 on die 0
         spare = ftl.retire_block(victim)
         assert spare is not None
         assert victim.block_id in ftl.bad_blocks
@@ -347,10 +358,13 @@ class TestConvBadBlocks:
 
     def test_retirement_without_spares_shrinks_the_die(self):
         ftl = self._ftl(spares=1)
-        first = ftl.retire_block(ftl.blocks[0])
+        for logical in range(16):
+            ftl.commit_write(logical)
+        first = ftl.retire_block(self._collect(ftl, (0, 2, 4)))   # block 0
         assert first is not None
+        victim = self._collect(ftl, (8, 10, 12))   # block 1: same die, pool empty
         before = ftl.free_block_count
-        second = ftl.retire_block(ftl.blocks[1])   # same die, pool empty
+        second = ftl.retire_block(victim)
         assert second is None
         assert ftl.free_block_count == before      # nothing promoted
 
@@ -359,3 +373,20 @@ class TestConvBadBlocks:
         ftl.blocks[0].valid_count = 1
         with pytest.raises(ValueError, match="valid pages"):
             ftl.retire_block(ftl.blocks[0])
+
+    def test_retire_rejects_free_and_active_blocks(self):
+        # A free block used to be retired in place: it stayed on the free
+        # list, so a later fill allocated the dead block (IndexError).
+        ftl = self._ftl(spares=1)
+        with pytest.raises(ValueError, match="not a collected victim"):
+            ftl.retire_block(ftl.blocks[0])
+        ftl.commit_write(0)
+        ftl.trim(0)   # empty but still open for writes
+        open_block = ftl.blocks[0]
+        assert open_block.write_slot == 1
+        with pytest.raises(ValueError, match="not a collected victim"):
+            ftl.retire_block(open_block)
+        for logical in range(ftl.logical_pages - 1):
+            ftl.commit_write(logical)
+        assert not ftl.bad_blocks
+        ftl.check_invariants()

@@ -181,20 +181,34 @@ class ConvDevice(DeviceCore):
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
         if steady_state_churn < 0:
             raise ValueError("steady_state_churn must be >= 0")
-        mapped = int(self.ftl.logical_pages * utilization)
-        for logical in range(mapped):
-            self.ftl.commit_write(logical)
+        ftl = self.ftl
+        mapped = int(ftl.logical_pages * utilization)
+        fill = range(mapped)
+        done = 0
+        while done < mapped:
+            done = ftl.commit_run(fill, done)
         if steady_state_churn > 0 and mapped > 0:
             import numpy as np
 
             rng = np.random.default_rng(seed)
-            for logical in rng.integers(0, mapped, round(mapped * steady_state_churn)):
-                if self.gc_policy.should_start(self.ftl.free_fraction):
-                    self._metadata_gc(self.gc_policy.high_watermark)
-                self.ftl.commit_write(int(logical))
+            churn = rng.integers(0, mapped, round(mapped * steady_state_churn)).tolist()
+            policy = self.gc_policy
+            done = 0
+            while done < len(churn):
+                # The free fraction only moves on a run's last write (the
+                # one that takes a free block), so checking the watermark
+                # between runs is checking it before every write.
+                if policy.should_start(ftl.free_fraction):
+                    self._metadata_gc(policy.high_watermark)
+                    if policy.should_start(ftl.free_fraction):
+                        # GC cannot keep up: retry it before every write.
+                        ftl.commit_write(churn[done])
+                        done += 1
+                        continue
+                done = ftl.commit_run(churn, done)
         # The fill is preconditioning, not measured traffic.
-        self.ftl.total_user_pages_written = 0
-        self.ftl.total_gc_pages_copied = 0
+        ftl.total_user_pages_written = 0
+        ftl.total_gc_pages_copied = 0
 
     def _metadata_gc(self, target_free_fraction: float) -> None:
         """Instantaneous GC used only during preconditioning."""

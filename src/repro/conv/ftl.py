@@ -10,11 +10,13 @@ Structure:
 * the logical space is ``(1 - overprovision)`` of the raw flash capacity,
 * each die keeps a pool of free blocks, one *user* active block and one
   *GC* active block (separated write streams),
+* the logical→physical map is a dense int64 array (``-1`` = unmapped),
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
 * GC picks greedy victims (fewest valid pages) from an index of full
-  blocks bucketed by valid count, relocates the survivors, and erases.
+  blocks bucketed by valid count, relocates the survivors in one batch
+  (the same slots per-page allocation would assign), and erases.
 
 The FTL is pure bookkeeping (no simulated time); the device model drives
 the matching NAND operations through the shared flash backend.
@@ -22,8 +24,9 @@ the matching NAND operations through the shared flash backend.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..flash.geometry import FlashGeometry
 
@@ -62,7 +65,11 @@ class PageMappedFtl:
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
-        self._l2p: dict[int, int] = {}
+        #: Dense L2P: ``_l2p[logical]`` is the physical page, -1 if unmapped.
+        #: An int64 array, not a list: it holds no int objects, and the
+        #: cyclic garbage collector does not walk it on every full pass.
+        self._l2p = array("q", [-1]) * self.logical_pages
+        self._mapped = 0
         self._total_dies = geometry.total_dies
         self._total_blocks = geometry.total_blocks
         blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
@@ -105,7 +112,7 @@ class PageMappedFtl:
         return self.free_block_count / self._total_blocks
 
     def mapped_pages(self) -> int:
-        return len(self._l2p)
+        return self._mapped
 
     def write_amplification(self) -> float:
         """Cumulative WA = (user + GC copies) / user pages."""
@@ -118,7 +125,8 @@ class PageMappedFtl:
     def lookup(self, logical_page: int) -> Optional[int]:
         """Physical page id of a logical page, or None if unmapped."""
         self._check_logical(logical_page)
-        return self._l2p.get(logical_page)
+        physical = self._l2p[logical_page]
+        return None if physical < 0 else physical
 
     def die_of_physical(self, physical_page: int) -> int:
         return self.blocks[physical_page // self.pages_per_block].die
@@ -147,21 +155,65 @@ class PageMappedFtl:
         destinations; :class:`FtlFullError` signals the caller to wait
         for GC rather than a corrupted state.
         """
-        self._check_logical(logical_page)
-        physical = self._allocate(self._user_active, logical_page, reserve)
-        old = self._l2p.get(logical_page)
-        if old is not None:
-            self._invalidate_physical(old)
-        self._l2p[logical_page] = physical
-        self.total_user_pages_written += 1
-        return physical
+        self.commit_run((logical_page,), 0, reserve)
+        return self._l2p[logical_page]
+
+    def commit_run(self, logicals: Sequence[int], start: int,
+                   reserve: int = 0) -> int:
+        """Commit ``logicals[start:]`` in order, as :meth:`commit_write`
+        would one by one, up to the first write that takes a fresh free
+        block.
+
+        That write is the only one that changes :attr:`free_fraction`,
+        so a caller steering GC by the free fraction checks it between
+        runs. Returns the index after the last committed page
+        (``len(logicals)`` once the run is through).
+        """
+        l2p = self._l2p
+        active_set = self._user_active
+        ppb = self.pages_per_block
+        last_slot = ppb - 1
+        dies = self._total_dies
+        limit = self.logical_pages
+        for i in range(start, len(logicals)):
+            logical = logicals[i]
+            if not 0 <= logical < limit:
+                self._check_logical(logical)
+            die = self._die_cursor
+            block = active_set[die]
+            if block is not None and block.write_slot < last_slot:
+                # The common case, inline: the cursor's die has an open
+                # block that this write does not fill.
+                self._die_cursor = die + 1 if die + 1 < dies else 0
+                slot = block.write_slot
+                block.write_slot = slot + 1
+                block.slot_to_logical[slot] = logical
+                block.valid_count += 1
+                physical = block.block_id * ppb + slot
+                fresh = False
+            else:
+                free = self.free_block_count
+                physical = self._allocate(active_set, logical, reserve)
+                fresh = self.free_block_count != free
+            old = l2p[logical]
+            l2p[logical] = physical
+            if old < 0:
+                self._mapped += 1
+            else:
+                self._invalidate_physical(old)
+            self.total_user_pages_written += 1
+            if fresh:
+                return i + 1
+        return len(logicals)
 
     def trim(self, logical_page: int) -> bool:
         """Unmap a logical page (NVMe deallocate); True if it was mapped."""
         self._check_logical(logical_page)
-        old = self._l2p.pop(logical_page, None)
-        if old is None:
+        old = self._l2p[logical_page]
+        if old < 0:
             return False
+        self._l2p[logical_page] = -1
+        self._mapped -= 1
         self._invalidate_physical(old)
         return True
 
@@ -185,16 +237,24 @@ class PageMappedFtl:
         """Move a victim's valid pages out, in slot order.
 
         Returns the new physical pages; the caller simulates each read
-        (victim die) + program (new page's die).
+        (victim die) + program (new page's die). The survivors land on
+        the slots that one GC-stream allocation per page would give them
+        (:meth:`_allocate_run`). If they do not fit, :class:`FtlFullError`
+        is raised and nothing changes.
         """
-        base = victim.block_id * self.pages_per_block
-        moved = []
-        for slot, logical in enumerate(victim.slot_to_logical):
-            if logical >= 0:
-                self._invalidate_physical(base + slot)
-                new_physical = self._allocate(self._gc_active, logical)
-                self._l2p[logical] = new_physical
-                moved.append(new_physical)
+        live = [logical for logical in victim.slot_to_logical if logical >= 0]
+        if not live:
+            return []
+        if not victim.is_full:
+            raise ValueError(f"block {victim.block_id} is still open")
+        moved = self._allocate_run(self._gc_active, live)
+        self._buckets[victim.valid_count].remove(victim.block_id)
+        self._buckets[0].add(victim.block_id)
+        victim.slot_to_logical = [-1] * self.pages_per_block
+        victim.valid_count = 0
+        l2p = self._l2p
+        for logical, physical in zip(live, moved):
+            l2p[logical] = physical
         self.total_gc_pages_copied += len(moved)
         return moved
 
@@ -256,7 +316,10 @@ class PageMappedFtl:
                 live[logical] = block.block_id * ppb + slot
             if block.is_full and block.block_id not in self.bad_blocks:
                 buckets[block.valid_count].add(block.block_id)
-        assert live == self._l2p, "L2P and back-maps disagree"
+        l2p = {logical: physical for logical, physical in enumerate(self._l2p)
+               if physical >= 0}
+        assert live == l2p, "L2P and back-maps disagree"
+        assert self._mapped == len(l2p), "mapped-page count drift"
         assert buckets == self._buckets, "victim index drift"
         free = [block_id for pool in self._free for block_id in pool]
         assert self.free_block_count == len(free), "free-block count drift"
@@ -313,6 +376,73 @@ class PageMappedFtl:
                 active_set[die] = None  # a stream never holds a full block
             return block.block_id * self.pages_per_block + slot
         raise FtlFullError("no allocatable block outside the GC reserve")
+
+    def _allocate_run(self, active_set: list[Optional[Block]],
+                      logicals: list[int], reserve: int = 0) -> list[int]:
+        """Place ``logicals`` in order; returns their physical pages.
+
+        Assigns exactly the slots that one :meth:`_allocate` call per
+        page would: dies take pages round-robin from ``_die_cursor``; a
+        die whose open block is used up takes its next free block on its
+        turn while more than ``reserve`` free blocks remain, and is
+        skipped from then on once it cannot. Unlike those calls, a run
+        that does not fit raises :class:`FtlFullError` before anything
+        changes.
+
+        Rounds in which no die needs a fresh block are written as list
+        slices: with ``width`` dies taking turns, the die at position
+        ``j`` gets every ``width``-th page from ``j`` on.
+        """
+        ppb = self.pages_per_block
+        room = [0 if block is None else ppb - block.write_slot
+                for block in active_set]
+        budget = self.free_block_count - reserve
+        total = len(logicals)
+        if total > sum(room) + ppb * max(budget, 0):
+            raise FtlFullError("no allocatable block outside the GC reserve")
+        if not total:
+            return []
+        dies = self._total_dies
+        cursor = self._die_cursor
+        rotation = [*range(cursor, dies), *range(cursor)]
+        free = self._free
+        buckets = self._buckets
+        physical = [0] * total
+        pos = 0
+        while pos < total:
+            # One rotation, in visit order: a die out of room takes a
+            # free block now or sits this and every later turn out.
+            turn = []
+            for die in rotation:
+                if len(turn) == total - pos:
+                    break
+                if not room[die]:
+                    if budget <= 0 or not free[die]:
+                        continue
+                    active_set[die] = self._take_free_block(die)
+                    room[die] = ppb
+                    budget -= 1
+                turn.append(die)
+            width = len(turn)
+            rounds = min(min(room[die] for die in turn), (total - pos) // width)
+            stop = pos + rounds * width
+            for first, die in enumerate(turn, pos):
+                block = active_set[die]
+                slot = block.write_slot
+                end = slot + rounds
+                block.slot_to_logical[slot:end] = logicals[first:stop:width]
+                base = block.block_id * ppb
+                physical[first:stop:width] = range(base + slot, base + end)
+                block.write_slot = end
+                block.valid_count += rounds
+                room[die] -= rounds
+                if end == ppb:
+                    block.is_full = True
+                    buckets[block.valid_count].add(block.block_id)
+                    active_set[die] = None
+            pos = stop
+        self._die_cursor = (turn[-1] + 1) % dies
+        return physical
 
     def _take_free_block(self, die: int) -> Optional[Block]:
         if not self._free[die]:

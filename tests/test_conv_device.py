@@ -2,13 +2,17 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.flash import KIB, MIB, FlashGeometry
 from repro.hostif import Command, Opcode, Status
 from repro.sim import Simulator, ms, sec, us
 from repro.conv import ConvDevice
 
+from .test_conv_ftl import ftl_state, per_slot_relocate
 from .util import quiet_profile, read, run_cmd, write
 
 
@@ -105,7 +109,9 @@ class TestPrecondition:
         streams = [None if b is None or b.is_full else b.block_id
                    for b in (*ftl._user_active, *ftl._gc_active)]
         h = hashlib.sha256()
-        h.update(repr(sorted(ftl._l2p.items())).encode())
+        l2p = [ftl.lookup(logical) for logical in range(ftl.logical_pages)]
+        h.update(repr([(logical, physical) for logical, physical in enumerate(l2p)
+                       if physical is not None]).encode())
         for block in ftl.blocks:
             h.update(repr((block.write_slot, block.valid_count,
                            block.slot_to_logical)).encode())
@@ -115,11 +121,51 @@ class TestPrecondition:
             "00718818658fb443a14e3c9ed4e879dd40a8cf6eb42b876f01cff67c3ac91a5d")
 
 
+def reference_precondition(dev, utilization, churn, seed):
+    """Per-page reference for ConvDevice.precondition: one commit_write
+    per page, the watermark checked before every write, and per-slot
+    relocation."""
+    ftl, policy = dev.ftl, dev.gc_policy
+    mapped = int(ftl.logical_pages * utilization)
+    for logical in range(mapped):
+        ftl.commit_write(logical)
+    if churn > 0 and mapped > 0:
+        rng = np.random.default_rng(seed)
+        for logical in rng.integers(0, mapped, round(mapped * churn)):
+            if policy.should_start(ftl.free_fraction):
+                while ftl.free_fraction < policy.high_watermark:
+                    victim = ftl.pick_victim()
+                    if victim is None:
+                        break
+                    per_slot_relocate(ftl, victim)
+                    ftl.erase(victim)
+            ftl.commit_write(int(logical))
+    ftl.total_user_pages_written = 0
+    ftl.total_gc_pages_copied = 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(utilization=st.floats(0, 1), churn=st.floats(0, 2),
+       seed=st.integers(0, 2**32 - 1),
+       overprovision=st.sampled_from([0.07, 0.04]))
+# With overprovisioning close to the 3% low watermark, a full device
+# cannot get back above it, so GC is retried before every write.
+@example(utilization=1.0, churn=2.0, seed=0, overprovision=0.04)
+@example(utilization=1.0, churn=2.0, seed=0, overprovision=0.07)
+@example(utilization=0.92, churn=1.5, seed=7, overprovision=0.07)
+def test_precondition_matches_per_page_reference(utilization, churn, seed,
+                                                 overprovision):
+    _, batched = make_conv(overprovision=overprovision)
+    _, stepped = make_conv(overprovision=overprovision)
+    batched.precondition(utilization, steady_state_churn=churn, seed=seed)
+    reference_precondition(stepped, utilization, churn, seed)
+    batched.ftl.check_invariants()
+    assert ftl_state(batched.ftl) == ftl_state(stepped.ftl)
+
+
 class TestGarbageCollectionBehaviour:
     def _flood(self, sim, dev, duration_ns, rng_seed=1):
         """Random full-page overwrites as fast as QD4 allows."""
-        import numpy as np
-
         rng = np.random.default_rng(rng_seed)
         page_lbas = dev.profile.geometry.page_size // dev.namespace.block_size
         pages = dev.namespace.capacity_lbas // page_lbas
@@ -141,17 +187,17 @@ class TestGarbageCollectionBehaviour:
         assert dev.gc_stats.victims_erased > 0
         assert dev.gc_stats.pages_copied > 0
         assert dev.ftl.write_amplification() > 1.2
+        dev.ftl.check_invariants()
 
     def test_gc_keeps_free_blocks_above_exhaustion(self):
         sim, dev = make_conv()
         dev.precondition(1.0)
         self._flood(sim, dev, sec(0.5))
         assert dev.ftl.free_block_count > 0
+        dev.ftl.check_invariants()
 
     def test_gc_inflates_read_latency(self):
         """The §III-F mechanism: GC + writes inflate read tails."""
-        import numpy as np
-
         sim, dev = make_conv()
         dev.precondition(1.0)
         # Idle read latency.
@@ -176,6 +222,7 @@ class TestGarbageCollectionBehaviour:
             latencies.append(run_cmd(sim, dev, read(slba, 1)).latency_ns)
         stop.append(True)
         assert max(latencies) > 5 * idle
+        dev.ftl.check_invariants()
 
     def test_no_gc_without_overwrites(self):
         sim, dev = make_conv()

@@ -3,7 +3,7 @@
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.conv import FtlFullError, GcPolicy, GcStats, PageMappedFtl
@@ -32,6 +32,38 @@ def run_gc_until(ftl: PageMappedFtl, target_free: float) -> None:
         ftl.relocate_block(victim)
         assert victim.valid_count == 0
         ftl.erase(victim)
+
+
+def ftl_state(ftl: PageMappedFtl) -> tuple:
+    """Everything the FTL's future behaviour depends on, comparable with ==."""
+    def ids(stream):
+        return [None if block is None else block.block_id for block in stream]
+
+    return (
+        list(ftl._l2p), ftl.mapped_pages(),
+        [(b.write_slot, b.valid_count, b.is_full, list(b.slot_to_logical))
+         for b in ftl.blocks],
+        [list(pool) for pool in ftl._free], [list(pool) for pool in ftl._spare],
+        ids(ftl._user_active), ids(ftl._gc_active),
+        ftl._die_cursor, ftl.free_block_count,
+        [set(bucket) for bucket in ftl._buckets],
+        set(ftl.bad_blocks), set(ftl.remapped_blocks),
+        ftl.total_user_pages_written, ftl.total_gc_pages_copied,
+    )
+
+
+def per_slot_relocate(ftl: PageMappedFtl, victim: Block) -> list[int]:
+    """Reference relocation: invalidate, then allocate, one slot at a time."""
+    base = victim.block_id * ftl.pages_per_block
+    moved = []
+    for slot, logical in enumerate(victim.slot_to_logical):
+        if logical >= 0:
+            ftl._invalidate_physical(base + slot)
+            physical = ftl._allocate(ftl._gc_active, logical)
+            ftl._l2p[logical] = physical
+            moved.append(physical)
+    ftl.total_gc_pages_copied += len(moved)
+    return moved
 
 
 class TestMapping:
@@ -129,6 +161,29 @@ class TestGarbageCollection:
         ftl.erase(victim)
         assert victim not in (*ftl._user_active, *ftl._gc_active)
         ftl.check_invariants()
+
+    def test_relocation_out_of_space_changes_nothing(self):
+        # Relocation used to invalidate a slot before allocating its new
+        # home; when the allocation raised FtlFullError the logical page
+        # still mapped to the invalidated slot.
+        geometry = tiny_geometry(blocks_per_plane=4)
+        ftl = PageMappedFtl(geometry, overprovision=0)
+        for logical in range(ftl.logical_pages):
+            ftl.commit_write(logical)
+        ftl.trim(0)
+        before = ftl_state(ftl)
+        with pytest.raises(FtlFullError):
+            ftl.relocate_block(ftl.pick_victim())
+        assert ftl_state(ftl) == before
+        ftl.check_invariants()
+
+    def test_relocating_an_open_block_is_refused(self):
+        ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
+        ftl.commit_write(0)
+        before = ftl_state(ftl)
+        with pytest.raises(ValueError, match="still open"):
+            ftl.relocate_block(ftl.blocks[0])
+        assert ftl_state(ftl) == before
 
     def test_write_amplification_accounting(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.5)
@@ -261,3 +316,112 @@ def test_indexed_victim_matches_linear_scan(steps):
                 ftl.retire_block(victim)
         ftl.check_invariants()
     assert ftl.pick_victim() is linear_scan_victim(ftl)
+
+
+# Random FTL states on tiny geometries for the differential tests below.
+# "steer" points the die cursor at one die so that dies use up their
+# free blocks unevenly; spares and retirements shrink some dies further;
+# "fill" rewrites the whole logical space until the FTL runs out of room.
+SETUP_OPS = st.lists(
+    st.tuples(st.sampled_from(["write"] * 8 + ["trim"] * 3 + ["gc"] * 2
+                              + ["retire", "steer", "fill"]),
+              st.integers(0, 10_000), st.integers(0, 3)),
+    max_size=120,
+)
+GEOMETRY = st.tuples(st.integers(1, 3), st.integers(2, 5), st.integers(2, 5),
+                     st.sampled_from([0.0, 0.25, 0.5]), st.integers(0, 1))
+
+
+def build_ftl(shape, ops) -> PageMappedFtl:
+    dies, blocks_per_die, pages_per_block, overprovision, spares = shape
+    geometry = FlashGeometry(channels=dies, dies_per_channel=1, planes_per_die=1,
+                             blocks_per_plane=blocks_per_die,
+                             pages_per_block=pages_per_block, page_size=4 * KIB)
+    ftl = PageMappedFtl(geometry, overprovision=overprovision,
+                        spare_blocks_per_die=min(spares, blocks_per_die - 1))
+    for op, value, reserve in ops:
+        logical = value % ftl.logical_pages
+        if op == "write":
+            try:
+                ftl.commit_write(logical, reserve=reserve)
+            except FtlFullError:
+                pass
+        elif op == "trim":
+            ftl.trim(logical)
+        elif op == "steer":
+            ftl._die_cursor = value % dies
+        elif op == "fill":
+            try:
+                for page in range(ftl.logical_pages):
+                    ftl.commit_write(page)
+            except FtlFullError:
+                pass
+        else:
+            victim = ftl.pick_victim()
+            if victim is None:
+                continue
+            try:
+                ftl.relocate_block(victim)
+            except FtlFullError:
+                continue
+            if op == "gc":
+                ftl.erase(victim)
+            else:
+                ftl.retire_block(victim)
+    ftl.check_invariants()
+    return ftl
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=GEOMETRY, ops=SETUP_OPS, gc_stream=st.booleans(),
+       pages=st.integers(0, 8) | st.integers(0, 60),
+       takeable=st.none() | st.integers(-1, 3))
+# Die 1 has no open block and may not take one: it must be skipped.
+@example(shape=(2, 4, 4, 0.5, 0), ops=[("write", 0, 0)], gc_stream=False,
+         pages=2, takeable=0)
+def test_allocate_run_matches_per_page_allocation(shape, ops, gc_stream,
+                                                  pages, takeable):
+    """One batched placement assigns the slots per-page calls would, and
+    raises (changing nothing) exactly when those calls run out.
+
+    ``takeable`` sets the reserve so that only that many free blocks can
+    be taken (None: no reserve)."""
+    batched, stepped = build_ftl(shape, ops), build_ftl(shape, ops)
+    stream = "_gc_active" if gc_stream else "_user_active"
+    reserve = 0 if takeable is None else max(0, batched.free_block_count - takeable)
+    logicals = list(range(100, 100 + pages))
+    before = ftl_state(batched)
+    try:
+        expected = [stepped._allocate(getattr(stepped, stream), logical, reserve)
+                    for logical in logicals]
+    except FtlFullError:
+        with pytest.raises(FtlFullError):
+            batched._allocate_run(getattr(batched, stream), logicals, reserve)
+        assert ftl_state(batched) == before
+        return
+    got = batched._allocate_run(getattr(batched, stream), logicals, reserve)
+    assert got == expected
+    assert ftl_state(batched) == ftl_state(stepped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=GEOMETRY, ops=SETUP_OPS)
+def test_relocate_block_matches_per_slot_reference(shape, ops):
+    """Whole-victim relocation leaves the state the per-slot loop leaves,
+    and is atomic where that loop is not."""
+    batched, stepped = build_ftl(shape, ops), build_ftl(shape, ops)
+    victim = batched.pick_victim()
+    if victim is None:
+        return
+    before = ftl_state(batched)
+    try:
+        expected = per_slot_relocate(stepped, stepped.blocks[victim.block_id])
+    except FtlFullError:
+        with pytest.raises(FtlFullError):
+            batched.relocate_block(victim)
+        assert ftl_state(batched) == before
+        batched.check_invariants()
+        return
+    assert batched.relocate_block(victim) == expected
+    assert ftl_state(batched) == ftl_state(stepped)
+    batched.check_invariants()

@@ -10,7 +10,7 @@ Structure:
 * the logical space is ``(1 - overprovision)`` of the raw flash capacity,
 * each die keeps a pool of free blocks, one *user* active block and one
   *GC* active block (separated write streams),
-* the logical→physical map is a dense int64 array (``-1`` = unmapped),
+* the logical→physical map is a dense int32 array (``-1`` = unmapped),
 * writes allocate the next slot of the user active block on a
   round-robin die cursor, remap the logical page, and invalidate the old
   physical page,
@@ -33,12 +33,26 @@ from ..flash.geometry import FlashGeometry
 __all__ = ["Block", "PageMappedFtl", "FtlFullError"]
 
 
+#: Typecode of the page maps (L2P and the block back-maps): signed
+#: 32-bit, which holds any page number of a geometry with fewer than
+#: 2**31 pages (checked by :class:`PageMappedFtl`) in half the bytes of
+#: int64. A finished point's FTL stays alive as long as its device, so
+#: the map width sets how much of a point survives it.
+_MAP = "i"
+_MAP_LIMIT = 2**31
+
+
 class FtlFullError(RuntimeError):
     """Raised when an allocation finds no free block anywhere."""
 
 
 class Block:
-    """One erase block: slot→logical back-map and validity accounting."""
+    """One erase block: slot→logical back-map and validity accounting.
+
+    The back-map is an int32 array (-1 = free or invalid slot), like the
+    L2P: a list would hold one int object per written slot and be walked
+    by every full cyclic-GC collection (DESIGN.md §10.2).
+    """
 
     __slots__ = ("block_id", "die", "slot_to_logical", "write_slot",
                  "valid_count", "is_full")
@@ -46,7 +60,7 @@ class Block:
     def __init__(self, block_id: int, die: int, pages_per_block: int):
         self.block_id = block_id
         self.die = die
-        self.slot_to_logical = [-1] * pages_per_block
+        self.slot_to_logical = array(_MAP, [-1]) * pages_per_block
         self.write_slot = 0
         self.valid_count = 0
         self.is_full = False  # set when the last slot is written, cleared on erase
@@ -65,10 +79,14 @@ class PageMappedFtl:
         self.logical_pages = int(geometry.total_pages * (1 - overprovision))
         if self.logical_pages <= 0:
             raise ValueError("geometry too small for any logical capacity")
+        if geometry.total_pages >= _MAP_LIMIT:
+            raise ValueError(
+                f"geometry has {geometry.total_pages} pages; the page maps "
+                f"hold page numbers below {_MAP_LIMIT}")
         #: Dense L2P: ``_l2p[logical]`` is the physical page, -1 if unmapped.
-        #: An int64 array, not a list: it holds no int objects, and the
+        #: An int32 array, not a list: it holds no int objects, and the
         #: cyclic garbage collector does not walk it on every full pass.
-        self._l2p = array("q", [-1]) * self.logical_pages
+        self._l2p = array(_MAP, [-1]) * self.logical_pages
         self._mapped = 0
         self._total_dies = geometry.total_dies
         self._total_blocks = geometry.total_blocks
@@ -250,7 +268,7 @@ class PageMappedFtl:
         moved = self._allocate_run(self._gc_active, live)
         self._buckets[victim.valid_count].remove(victim.block_id)
         self._buckets[0].add(victim.block_id)
-        victim.slot_to_logical = [-1] * self.pages_per_block
+        victim.slot_to_logical = array(_MAP, [-1]) * self.pages_per_block
         victim.valid_count = 0
         l2p = self._l2p
         for logical, physical in zip(live, moved):
@@ -265,7 +283,7 @@ class PageMappedFtl:
                 f"erasing block {victim.block_id} with {victim.valid_count} valid pages"
             )
         self._buckets[0].discard(victim.block_id)
-        victim.slot_to_logical = [-1] * self.pages_per_block
+        victim.slot_to_logical = array(_MAP, [-1]) * self.pages_per_block
         victim.write_slot = 0
         victim.is_full = False
         self._free[victim.die].append(victim.block_id)
@@ -430,7 +448,7 @@ class PageMappedFtl:
                 block = active_set[die]
                 slot = block.write_slot
                 end = slot + rounds
-                block.slot_to_logical[slot:end] = logicals[first:stop:width]
+                block.slot_to_logical[slot:end] = array(_MAP, logicals[first:stop:width])
                 base = block.block_id * ppb
                 physical[first:stop:width] = range(base + slot, base + end)
                 block.write_slot = end

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..hostif.commands import Command, Completion, Opcode, make_completion
+from ..hostif.commands import Command, Completion, Opcode
 from ..hostif.namespace import LbaFormat, Namespace
 from ..hostif.status import Status
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_NS, Counter, MetricsRegistry
@@ -251,7 +251,7 @@ class DeviceCore:
     def _complete(self, command: Command, status: Status,
                   nbytes: int = 0, assigned_lba: Optional[int] = None,
                   cid: int = 0) -> Completion:
-        completion = make_completion(command, status, self.sim.now, assigned_lba)
+        completion = Completion(command, status, self.sim.now, assigned_lba)
         self.counters.record(completion, nbytes)
         if self.observing and status.ok and command.submitted_at >= 0:
             self._latency_hist[command.opcode].observe(

@@ -49,6 +49,7 @@ reply for the parent to merge in plan order.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing as mp
 import os
 import threading
@@ -71,6 +72,11 @@ DEFAULT_POINT_TIMEOUT_S = 600.0
 #: Interval between worker liveness heartbeats while a point runs.
 DEFAULT_HEARTBEAT_S = 5.0
 
+#: Whether this process has frozen its pre-point heap (:func:`run_point`).
+#: A flag rather than ``gc.get_freeze_count()``, which walks the whole
+#: frozen generation on every call (about 0.4 ms for 23k objects).
+_heap_frozen = False
+
 
 def run_point(plan, task: dict) -> dict:
     """Run one task's point and build its reply (workers and ``jobs=1``).
@@ -79,6 +85,15 @@ def run_point(plan, task: dict) -> dict:
     and telemetry are recorded into fresh per-point collectors whose
     snapshots ride the reply, so the parent merges them in plan order
     whether the point ran in a worker, inline, or came from the cache.
+
+    Each point ends with a full ``gc.collect()``: a point leaves cyclic
+    garbage behind (the device graph, with any processes still
+    suspended when the simulation stopped, such as write-buffer
+    flushes), and collecting it at the boundary keeps the next point
+    from inheriting it. Before its first point the process collects and
+    then ``gc.freeze()``-s what is left (modules, plans, the caller's
+    state), so those collections walk only what points allocate
+    (DESIGN.md §15.8).
     """
     from ..core.experiments.common import ExperimentConfig
     from ..obs.metrics import MetricsRegistry
@@ -86,6 +101,11 @@ def run_point(plan, task: dict) -> dict:
     from ..obs.tracer import Tracer
     from ..sim.engine import events_total
 
+    global _heap_frozen
+    if not _heap_frozen:
+        gc.collect()
+        gc.freeze()
+        _heap_frozen = True
     started = time.perf_counter()
     events_before = events_total()
     try:
@@ -114,6 +134,8 @@ def run_point(plan, task: dict) -> dict:
             "ok": False,
             "error": traceback.format_exc(),
         }
+    finally:
+        gc.collect()
 
 
 def _worker_main(conn: Connection) -> None:

@@ -9,22 +9,13 @@ the host names the zone, the device names the address).
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .status import Status
 
-__all__ = [
-    "Opcode",
-    "ZoneAction",
-    "Command",
-    "Completion",
-    "make_command",
-    "make_completion",
-    "recycle_completion",
-]
+__all__ = ["Opcode", "ZoneAction", "Command", "Completion"]
 
 
 class Opcode(Enum):
@@ -101,101 +92,3 @@ class Completion:
         if self.command.submitted_at < 0:
             raise ValueError("command was never stamped with a submission time")
         return self.completed_at - self.command.submitted_at
-
-
-# ---------------------------------------------------------------- freelists
-#
-# Command/Completion pairs are the last per-I/O allocation after the
-# engine's event pools: one of each per command, millions per sweep. The
-# pools below recycle them with the same refcount discipline as the
-# engine's Timeout pool (DESIGN.md §15): an object is returned to its
-# freelist only when ``sys.getrefcount`` proves the recycler holds the
-# sole remaining reference, so any code that retains a completion (error
-# reports, host-scheduler merges, tests) keeps a live, never-reused
-# object. Pools are per-process plain lists — each pool worker owns its
-# own copies, so there is no cross-process aliasing to reason about.
-
-_POOL_MAX = 512
-_getrefcount = getattr(sys, "getrefcount", None)
-#: getrefcount() result proving a completion is unshared at recycle time.
-#: The runner recycles *during* the resumption that delivered the
-#: completion, so the delivering event still holds it in ``_value`` (the
-#: engine clears/pools that event right after the resumption returns).
-#: Expected refs: runner slot local + delivering event's ``_value`` +
-#: recycle parameter + getrefcount argument.
-_COMPLETION_REFS = 4
-#: Commands have no event holding them by then (the generator frames
-#: that carried the command are exhausted): slot local + our local +
-#: getrefcount argument.
-_COMMAND_REFS = 3
-
-_command_pool: list[Command] = []
-_completion_pool: list[Completion] = []
-
-
-def make_command(opcode: Opcode, slba: int, nlb: int,
-                 action: Optional[ZoneAction] = None,
-                 tag: object = None,
-                 tenant: Optional[str] = None) -> Command:
-    """Pooled :class:`Command` constructor for the per-I/O hot path.
-
-    The recycled path skips ``__post_init__`` validation — callers are
-    the access-pattern generators, whose targets are valid by
-    construction (validation still runs whenever the pool is empty and a
-    fresh dataclass is built).
-    """
-    pool = _command_pool
-    if pool:
-        command = pool.pop()
-        command.opcode = opcode
-        command.slba = slba
-        command.nlb = nlb
-        command.action = action
-        command.submitted_at = -1
-        command.tag = tag
-        command.tenant = tenant
-        return command
-    return Command(opcode, slba=slba, nlb=nlb, action=action, tag=tag,
-                   tenant=tenant)
-
-
-def make_completion(command: Command, status: Status, completed_at: int,
-                    assigned_lba: Optional[int] = None) -> Completion:
-    """Pooled :class:`Completion` constructor (device completion path)."""
-    pool = _completion_pool
-    if pool:
-        completion = pool.pop()
-        completion.command = command
-        completion.status = status
-        completion.completed_at = completed_at
-        completion.assigned_lba = assigned_lba
-        completion.merged_from = 1
-        return completion
-    return Completion(command, status, completed_at, assigned_lba)
-
-
-def recycle_completion(completion: Completion) -> None:
-    """Return a completion (and its command, when provably unshared) to
-    the freelists.
-
-    Caller contract: the caller holds exactly one reference and never
-    touches the object again after this call (reassigning the variable
-    that held it is fine — by then the pool may have handed the object
-    back out, possibly to the very same variable). Extra references
-    anywhere — a retained error completion, a merged command, a tracing
-    stack — fail the refcount guard and the object is simply left to the
-    garbage collector.
-    """
-    if _getrefcount is None or _getrefcount(completion) != _COMPLETION_REFS:
-        return
-    command = completion.command
-    completion.command = None
-    if len(_completion_pool) < _POOL_MAX:
-        _completion_pool.append(completion)
-    # The slot never rereads the command after recording.
-    if _getrefcount(command) == _COMMAND_REFS and len(_command_pool) < _POOL_MAX:
-        command.tag = None
-        command.tenant = None
-        command.action = None
-        command.submitted_at = -1
-        _command_pool.append(command)

@@ -27,7 +27,13 @@ __all__ = ["Request", "Resource", "ServiceLine", "Container", "Store"]
 
 
 class Request(Event):
-    """An acquire request; fires when the resource grants a slot."""
+    """An acquire request; fires when the resource grants a slot.
+
+    The grant carries no value: the requester already holds the request
+    it yielded. Triggering it with itself as the value would make every
+    granted request a reference cycle (``req._value is req``) that only
+    the cyclic garbage collector can free (DESIGN.md §15.8).
+    """
 
     __slots__ = ("resource", "priority", "_order")
 
@@ -86,7 +92,7 @@ class Resource:
         if not self._queue and len(self._users) < self.capacity:
             # Free slot and nobody ahead: grant without touching the heap.
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
         else:
             # Heap entries are (priority, order, req) tuples so ordering
             # resolves on int compares instead of Request.__lt__ dispatch
@@ -114,7 +120,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             req = heapq.heappop(self._queue)[2]
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
 
 
 class ServiceLine:
@@ -167,15 +173,14 @@ class ServiceLine:
             self._waiters.append(event)
         else:
             self._busy = True
-            event.succeed(event)
+            event.succeed()
         return event
 
     def release(self, request: Event) -> None:
         """Return the slot (or cancel a still-queued request)."""
         if request._triggered:
             if self._waiters:
-                nxt = self._waiters.popleft()
-                nxt.succeed(nxt)
+                self._waiters.popleft().succeed()
             else:
                 self._busy = False
             return

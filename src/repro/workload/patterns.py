@@ -13,11 +13,96 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..hostif.commands import Command, Opcode, make_command
+from ..hostif.commands import Command, Opcode
 from ..zns.spec import ZoneState
 
-__all__ = ["BACKOFF", "Backoff", "ZoneWriteCursor", "ZoneAppendCursor",
-           "RandomReadPattern", "RangePattern"]
+__all__ = ["BACKOFF", "Backoff", "BoundedDraws", "ZoneWriteCursor",
+           "ZoneAppendCursor", "RandomReadPattern", "RangePattern"]
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class BoundedDraws:
+    """Exact ``int(rng.integers(0, n))`` draws at a fraction of the cost.
+
+    A scalar ``Generator.integers`` call costs about 3 µs, nearly all of
+    it call overhead. This class reads the generator's raw PCG64 words
+    in blocks (``bit_generator.random_raw``) and replays, in Python,
+    what numpy does with them for ``integers(0, n)`` at the default
+    int64 dtype (``random_bounded_uint64_fill`` with Lemire rejection):
+
+    * ``n == 1`` draws nothing;
+    * ``n <= 2**32`` takes 32-bit halves, low half of a word first, the
+      high half kept for the next 32-bit draw (the bit generator's
+      ``has_uint32``/``uinteger`` buffer, whose state this class starts
+      from); ``n == 2**32`` returns the half itself;
+    * larger ``n`` takes whole 64-bit words and leaves the buffered
+      half alone.
+
+    The draws are the generator's draws value for value, so switching a
+    call site to this class changes no result (the draw-order contract,
+    DESIGN.md §15.6). The block read runs the generator ahead of what
+    has been used: only wrap a generator that makes nothing but
+    bounded-integer draws, and draw from it only through this object.
+    """
+
+    __slots__ = ("_bitgen", "_block", "_words", "_cursor", "_has_half", "_half")
+
+    def __init__(self, rng: np.random.Generator, block: int = 256):
+        if block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError(f"BoundedDraws replays PCG64, not {state['bit_generator']}")
+        self._bitgen = bitgen
+        self._block = block
+        self._words: list[int] = []
+        self._cursor = 0
+        self._has_half = bool(state["has_uint32"])
+        self._half = int(state["uinteger"])
+
+    def _next64(self) -> int:
+        cursor = self._cursor
+        if cursor == len(self._words):
+            self._words = self._bitgen.random_raw(self._block).tolist()
+            cursor = 0
+        self._cursor = cursor + 1
+        return self._words[cursor]
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        word = self._next64()
+        self._has_half = True
+        self._half = word >> 32
+        return word & _MASK32
+
+    def below(self, n: int) -> int:
+        """One draw from ``[0, n)``: exactly ``int(rng.integers(0, n))``."""
+        if 1 < n < 0x100000000:
+            m = self._next32() * n
+            if (m & _MASK32) < n:
+                # Lemire's rejection: redraw while the low half falls
+                # under 2**32 mod n (rare; n itself bounds the threshold).
+                threshold = 0x100000000 % n
+                while (m & _MASK32) < threshold:
+                    m = self._next32() * n
+            return m >> 32
+        if n == 1:
+            return 0
+        if n == 0x100000000:
+            return self._next32()
+        if not 1 <= n <= 1 << 63:
+            raise ValueError(f"bound must be in [1, 2**63], got {n}")
+        m = self._next64() * n
+        if (m & _MASK64) < n:
+            threshold = (1 << 64) % n
+            while (m & _MASK64) < threshold:
+                m = self._next64() * n
+        return m >> 64
 
 
 def _dead(zone) -> bool:
@@ -88,7 +173,7 @@ class ZoneWriteCursor:
             if self._next_lba + self.nlb <= zone.writable_end:
                 slba = self._next_lba
                 self._next_lba += self.nlb
-                return make_command(Opcode.WRITE, slba, self.nlb), None
+                return Command(Opcode.WRITE, slba, self.nlb), None
             # Zone exhausted: advance (resetting if allowed and needed).
             self._zone_pos = (self._zone_pos + 1) % len(self.zone_ids)
             self._next_lba = None
@@ -114,16 +199,16 @@ class ZoneAppendCursor:
         self.zone_ids = list(zones)
         self.nlb = nlb
         self.reset_when_full = reset_when_full
-        self._rng = rng
+        self._draws = BoundedDraws(rng) if rng is not None else None
         self._zone_pos = 0
         #: Reserved-but-not-yet-completed LBAs per zone, so concurrent
         #: appends at high QD stop before overshooting the capacity.
         self._reserved: dict[int, int] = {z: 0 for z in self.zone_ids}
 
     def _pick_zone_pos(self) -> int:
-        if self._rng is None:
+        if self._draws is None:
             return self._zone_pos
-        return int(self._rng.integers(0, len(self.zone_ids)))
+        return self._draws.below(len(self.zone_ids))
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
         # NB: the iteration bound must stay exactly as in fault-free runs —
@@ -143,7 +228,7 @@ class ZoneAppendCursor:
             projected = zone.wp + self._reserved[zone_id] + self.nlb
             if projected <= zone.writable_end:
                 self._reserved[zone_id] += self.nlb
-                return make_command(Opcode.APPEND, zone.zslba, self.nlb), None
+                return Command(Opcode.APPEND, zone.zslba, self.nlb), None
             if self.reset_when_full and self._reserved[zone_id] == 0:
                 return None, zone_id
             self._zone_pos = (self._zone_pos + 1) % len(self.zone_ids)
@@ -176,18 +261,19 @@ class RandomReadPattern:
         self.device = device
         self.zone_ids = list(zones)
         self.nlb = nlb
-        self._rng = rng
+        self._draws = BoundedDraws(rng)
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
-        zone_id = self.zone_ids[int(self._rng.integers(0, len(self.zone_ids)))]
+        below = self._draws.below
+        zone_id = self.zone_ids[below(len(self.zone_ids))]
         zone = self.device.zones.zones[zone_id]
         written = zone.occupancy_lbas
         if written < self.nlb:
             # Nothing to read yet in this zone; read from the start anyway
             # (deallocated reads are legal and cheap on ZNS).
-            return make_command(Opcode.READ, zone.zslba, self.nlb), None
-        slba = zone.zslba + int(self._rng.integers(0, written - self.nlb + 1))
-        return make_command(Opcode.READ, slba, self.nlb), None
+            return Command(Opcode.READ, zone.zslba, self.nlb), None
+        slba = zone.zslba + below(written - self.nlb + 1)
+        return Command(Opcode.READ, slba, self.nlb), None
 
 
 class RangePattern:
@@ -204,16 +290,16 @@ class RangePattern:
         self.start, self.end = start, end
         self.nlb = nlb
         self.random = random
-        self._rng = rng
+        self._draws = BoundedDraws(rng)
         self._cursor = start
 
     def next_target(self) -> tuple[Optional[Command], Optional[int]]:
         if self.random:
             slots = (self.end - self.start) // self.nlb
-            slba = self.start + int(self._rng.integers(0, slots)) * self.nlb
+            slba = self.start + self._draws.below(slots) * self.nlb
         else:
             if self._cursor + self.nlb > self.end:
                 self._cursor = self.start
             slba = self._cursor
             self._cursor += self.nlb
-        return make_command(self.opcode, slba, self.nlb), None
+        return Command(self.opcode, slba, self.nlb), None

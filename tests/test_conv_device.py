@@ -114,7 +114,7 @@ class TestPrecondition:
                        if physical is not None]).encode())
         for block in ftl.blocks:
             h.update(repr((block.write_slot, block.valid_count,
-                           block.slot_to_logical)).encode())
+                           list(block.slot_to_logical))).encode())
         h.update(repr([list(free) for free in ftl._free]).encode())
         h.update(repr((ftl._die_cursor, ftl.free_block_count, streams)).encode())
         assert h.hexdigest() == (

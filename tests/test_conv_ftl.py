@@ -73,6 +73,13 @@ class TestMapping:
         assert ftl.mapped_pages() == 0
         assert ftl.logical_pages == int(16 * 4 * 0.75)
 
+    def test_geometry_beyond_int32_page_maps_is_refused(self):
+        # 2 dies x 2**22 blocks x 2**8 pages = 2**31 pages: one past what
+        # the int32 maps hold. Refused before any map is allocated.
+        with pytest.raises(ValueError, match="page numbers below"):
+            PageMappedFtl(tiny_geometry(blocks_per_plane=2**22,
+                                        pages_per_block=2**8))
+
     def test_write_then_lookup(self):
         ftl = PageMappedFtl(tiny_geometry(), overprovision=0.25)
         physical = ftl.commit_write(7)
